@@ -133,6 +133,7 @@ sim::ProtocolTask KSetCore::main() {
     }
     phase_ = 0;
   }
+  finished_ = true;
 }
 
 void KSetCore::state_digest(sim::StateDigest& d) const {

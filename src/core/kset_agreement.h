@@ -107,6 +107,9 @@ class KSetCore {
   bool on_rdeliver(const sim::Message& m);
 
   bool decided() const { return decided_; }
+  /// True once main() has returned (it does so right after deciding,
+  /// at its next wakeup); the host may then free the core.
+  bool finished() const { return finished_; }
   std::int64_t decision() const { return decision_; }
   Time decision_time() const { return decision_time_; }
   /// Round the host was in when it decided (1-based).
@@ -143,6 +146,9 @@ class KSetCore {
   std::map<int, std::vector<Phase1Msg>> phase1_;
   std::map<int, std::vector<Phase2Msg>> phase2_;
   bool decided_ = false;
+  /// Not digested: it only mirrors whether main()'s frame returned,
+  /// which the engine's waiter multiset already pins.
+  bool finished_ = false;
   std::int64_t decision_ = kNoValue;
   Time decision_time_ = kNeverTime;
   int decision_round_ = 0;

@@ -229,7 +229,7 @@ NodeResult run_node(const NodeConfig& cfg) {
       }
     }
 
-    RtBridge bridge(cfg.id, link);
+    RtBridge bridge(cfg.id, link, sim);
     sim.network().set_remote_hook(&bridge);
     if (wal_enabled) {
       // The taint bit is strictly write-ahead: persisted before the
@@ -297,7 +297,6 @@ NodeResult run_node(const NodeConfig& cfg) {
       }
       link.poll(deliver);
       monitor.tick();
-      link.maintain();
       sim.pump(elapsed);
       if (kproc != nullptr && decided_at == kNeverTime &&
           kproc->core().decided()) {
@@ -316,6 +315,9 @@ NodeResult run_node(const NodeConfig& cfg) {
         }
         catching_up = false;
       }
+      // Flush after the pump: the frames it just produced leave on this
+      // wakeup instead of waiting in the datagram builders for the next.
+      link.maintain();
       if (decided_at != kNeverTime &&
           link.pending_excluding(monitor.suspected_now()) == 0) {
         // Traffic owed to every unsuspected peer is acknowledged; the

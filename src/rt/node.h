@@ -10,7 +10,9 @@
 //   * outbound — a sim::RemoteTransportHook on the embedded Network
 //     intercepts every send addressed to a non-local id, flattens the
 //     message through rt/codec and hands it to the UdpLink (exactly
-//     once, end to end: the link retransmits and dedups);
+//     once, end to end: the link retransmits and dedups); a send to
+//     self re-enters the engine at the current instant instead of
+//     paying the delay policy's 1 ms;
 //   * inbound  — datagrams decode into the simulator's arena and enter
 //     through Simulator::inject_deliver, so handlers, reliable-
 //     broadcast interception and coroutine wakeups behave exactly as
@@ -18,6 +20,8 @@
 //   * time     — the main loop calls Simulator::pump(now_ms) so virtual
 //     time tracks the wall clock (1 virtual unit == 1 ms); ticks,
 //     sleeps and wait predicates fire at their real-time instants.
+//     Each wakeup runs poll -> pump -> maintain, so the frames a pump
+//     produces are flushed on the same wakeup.
 //
 // The failure detectors the protocols consume are the heartbeat
 // implementations (rt/heartbeat_fd.h) — the detector choice lives

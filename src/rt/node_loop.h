@@ -19,6 +19,7 @@
 #include "rt/udp_link.h"
 #include "sim/network.h"
 #include "sim/process.h"
+#include "sim/simulator.h"
 #include "util/types.h"
 
 namespace saf::rt {
@@ -33,14 +34,19 @@ class RemoteStub final : public sim::Process {
 };
 
 /// The outbound seam: sends addressed to non-local ids are encoded and
-/// carried by the UdpLink.
+/// carried by the UdpLink; self-addressed sends are handed straight
+/// back to the engine at the current instant, so a local hop costs no
+/// virtual time (the simulator's delay policy would charge it 1 ms,
+/// and the asynchronous model allows any delay).
 class RtBridge final : public sim::RemoteTransportHook {
  public:
-  RtBridge(ProcessId self, UdpLink& link) : self_(self), link_(link) {}
+  RtBridge(ProcessId self, UdpLink& link, sim::Simulator& sim)
+      : self_(self), link_(link), sim_(sim) {}
 
   /// Invoked once, synchronously, *before* this round's first reliable
-  /// send hits the link — the write-ahead point where the node's WAL
-  /// marks the round externalized (rt/chaos.h's taint bit).
+  /// remote send hits the link — the write-ahead point where the node's
+  /// WAL marks the round externalized (rt/chaos.h's taint bit). Local
+  /// deliveries never leave the process and do not fire it.
   void set_on_first_send(std::function<void()> fn) {
     on_first_send_ = std::move(fn);
   }
@@ -49,7 +55,12 @@ class RtBridge final : public sim::RemoteTransportHook {
                const sim::Message& m) override {
     (void)from;
     (void)now;
-    if (to == self_) return false;  // local: the engine delivers it
+    if (to == self_) {
+      // Dispatched later within the same pump (inject_deliver queues
+      // at now, behind everything already due at this instant).
+      sim_.inject_deliver(to, &m);
+      return true;
+    }
     buf_.clear();
     if (!encode_message(m, &buf_)) {
       // Outside the rt vocabulary — nothing a stub could do with it
@@ -70,6 +81,7 @@ class RtBridge final : public sim::RemoteTransportHook {
  private:
   ProcessId self_;
   UdpLink& link_;
+  sim::Simulator& sim_;
   std::vector<std::uint8_t> buf_;
   std::uint64_t encode_failures_ = 0;
   std::function<void()> on_first_send_;

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/check.h"
@@ -316,6 +317,12 @@ void UdpLink::process_datagram(const std::uint8_t* data, std::size_t len,
     return;
   }
   if (!peer.inc_known || reader.incarnation() > peer.inc) {
+    // First contact with this incarnation: it is listening now, so
+    // whatever we sent before it bound its socket (or into its dead
+    // predecessor) is re-offered on the next maintain() instead of
+    // after the rto_base backoff.
+    const Time now = clock_.now_ms();
+    for (Pending& pd : peer.inflight) pd.next_due = std::min(pd.next_due, now);
     if (peer.inc_known) {
       ++stats_.peer_restarts;
       peer.dedup = DedupWindow(params_.dedup_window);

@@ -49,9 +49,7 @@ void Process::spawn(ProtocolTask task) {
   const auto h = task.handle();
   tasks_.push_back(std::move(task));
   h.resume();
-  for (const ProtocolTask& t : tasks_) {
-    t.rethrow_if_failed();
-  }
+  reap_tasks();
 }
 
 util::Arena& Process::arena() {
@@ -102,6 +100,17 @@ void Process::maybe_wake() {
 
 void Process::resume_handle(std::coroutine_handle<> h) {
   h.resume();
+  reap_tasks();
+}
+
+void Process::reap_tasks() {
+  // A task that returned normally is finished for good: free its frame
+  // so a process spawning one task per instance (svc's pipeline) keeps
+  // tasks_ at the live count. A task that threw stays, so every later
+  // resume rethrows its exception.
+  std::erase_if(tasks_, [](const ProtocolTask& t) {
+    return t.done() && !t.failed();
+  });
   for (const ProtocolTask& t : tasks_) {
     t.rethrow_if_failed();
   }

@@ -76,6 +76,10 @@ class Process {
   bool is_crashed() const;
   Time now() const;
 
+  /// Tasks spawned and not yet reaped (finished tasks that threw nothing
+  /// are reaped after every resume).
+  std::size_t live_tasks() const { return tasks_.size(); }
+
   /// The owning simulator's trace emission point — protocol code uses it
   /// for x_move / l_move / decide / quiesce events. Only valid once the
   /// process has been added to a Simulator.
@@ -146,7 +150,8 @@ class Process {
   [[nodiscard]] SleepAwaiter sleep_for(Time d) { return SleepAwaiter{this, d}; }
 
  protected:
-  /// Starts an additional task (call from boot()).
+  /// Starts an additional task (call from boot(), or from a running
+  /// task). The task's frame is freed once it returns.
   void spawn(ProtocolTask task);
 
   /// The owning simulator's per-run message arena. Only valid once the
@@ -172,6 +177,8 @@ class Process {
   void handle_delivery(const Message& m);
   void maybe_wake();
   void resume_handle(std::coroutine_handle<> h);
+  /// Frees finished tasks that threw nothing; rethrows a failed one.
+  void reap_tasks();
   void wake_token(std::uint64_t token);
   /// Stamps the sender id onto a freshly created message.
   template <typename M>

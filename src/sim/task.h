@@ -49,9 +49,14 @@ class ProtocolTask {
   bool done() const { return handle_ && handle_.done(); }
   std::coroutine_handle<promise_type> handle() const { return handle_; }
 
+  /// True iff the coroutine finished by throwing.
+  bool failed() const {
+    return handle_ && handle_.done() && handle_.promise().exception;
+  }
+
   /// Rethrows an exception that escaped the coroutine body, if any.
   void rethrow_if_failed() const {
-    if (handle_ && handle_.done() && handle_.promise().exception) {
+    if (failed()) {
       std::rethrow_exception(handle_.promise().exception);
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -47,12 +48,15 @@ constexpr int kSnapChunksPerReq = 4;
 /// Wall milliseconds between snapshot requests while behind.
 constexpr Time kSnapRetryMs = 200;
 
-/// The one real protocol process of a service node: an unbounded
+/// The one real protocol process of a service node: a demand-driven
 /// pipeline of KSetCores over a single embedded simulator.
 ///
 /// Routing invariants:
 ///   * driver() runs instances strictly in order; when it sits at
 ///     instance m, every instance below m is decided (frontier_ == m).
+///   * Instance m starts only when there is work for it: this node has
+///     queued submissions, a peer's phase traffic for m arrived, or the
+///     frontier passed m. An idle cluster runs no instances at all.
 ///   * A decision can arrive for ANY instance at any point — from this
 ///     node's own core, a peer's reliable-broadcast DecisionMsg, or a
 ///     snapshot — and always lands in record(): out-of-order decisions
@@ -63,9 +67,9 @@ constexpr Time kSnapRetryMs = 200;
 ///     buffering that makes pipelining-by-decision safe under wire
 ///     reordering (same design as core/repeated_kset, which proves it
 ///     in-simulator).
-///
-/// Completed cores are never pruned: KSetCore::main() terminates once
-/// decided, so a finished instance costs memory, not cycles.
+///   * A core is freed once the frontier passed its instance and its
+///     main() returned, so memory follows the in-flight instances, not
+///     the decided log.
 class ServiceProcess final : public sim::Process {
  public:
   /// Proposal source for instance m (the batching seam).
@@ -73,13 +77,16 @@ class ServiceProcess final : public sim::Process {
   /// Fired exactly once per instance, in log order, as the contiguous
   /// decided prefix extends past it.
   using DecideFn = std::function<void(int instance, std::int64_t value)>;
+  /// True while this node holds submissions no instance carries yet.
+  using DemandFn = std::function<bool()>;
 
   ServiceProcess(ProcessId id, int n, int t, const fd::LeaderOracle& omega,
-                 FoldFn fold, DecideFn on_decide)
+                 FoldFn fold, DecideFn on_decide, DemandFn has_demand)
       : Process(id, n, t),
         omega_(omega),
         fold_(std::move(fold)),
-        on_decide_(std::move(on_decide)) {}
+        on_decide_(std::move(on_decide)),
+        has_demand_(std::move(has_demand)) {}
 
   void boot() override { spawn(driver()); }
 
@@ -90,11 +97,12 @@ class ServiceProcess final : public sim::Process {
       it->second->on_message(m);
       return;
     }
-    if (inst >= next_ && inst < next_ + kFutureWindow) {
+    const int head = std::max(next_, frontier_);
+    if (inst >= head && inst < head + kFutureWindow) {
       future_[inst].push_back(&m);  // arena-owned: outlives the buffer
     }
-    // Below next_ with no core: the instance was adopted before it ran
-    // locally and its decision is final — drop the straggler.
+    // Below the head with no core: the instance was decided (or adopted)
+    // and its core freed — drop the straggler.
   }
 
   void on_rdeliver(const sim::Message& m) override {
@@ -135,11 +143,16 @@ class ServiceProcess final : public sim::Process {
     return -1;
   }
 
-  /// Task T1 of the pipeline: run instance m the moment everything
-  /// below it is decided; skip instances that decided without us.
+  /// Task T1 of the pipeline: run instance m once everything below it
+  /// is decided and someone wants it decided; skip instances that
+  /// decided without us.
   sim::ProtocolTask driver() {
     for (;;) {
       const int m = next_;
+      co_await until([this, m] {
+        return frontier_ > m || has_demand_() || future_.count(m) != 0;
+      });
+      prune_cores();
       if (frontier_ > m) {
         next_ = frontier_;  // decided behind our back (RB or snapshot)
         continue;
@@ -155,6 +168,15 @@ class ServiceProcess final : public sim::Process {
       }
       co_await until([this, m, c] { return frontier_ > m || c->decided(); });
       ++next_;
+    }
+  }
+
+  /// Frees cores below the frontier whose main() has returned (a core
+  /// decided by a peer's broadcast finishes on its next wakeup).
+  void prune_cores() {
+    for (auto it = cores_.begin();
+         it != cores_.end() && it->first < frontier_;) {
+      it = it->second->finished() ? cores_.erase(it) : std::next(it);
     }
   }
 
@@ -194,6 +216,7 @@ class ServiceProcess final : public sim::Process {
   const fd::LeaderOracle& omega_;
   FoldFn fold_;
   DecideFn on_decide_;
+  DemandFn has_demand_;
   std::map<int, std::unique_ptr<core::KSetCore>> cores_;
   int next_ = 0;      ///< next instance the driver will run
   int frontier_ = 0;  ///< contiguous decided prefix length
@@ -355,20 +378,22 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
     if (pid != cfg.id) {
       sim.add_process(std::make_unique<rt::RemoteStub>(pid, cfg.n, cfg.t));
     } else {
-      auto p = std::make_unique<ServiceProcess>(pid, cfg.n, cfg.t, omega,
-                                                fold, on_decide);
+      auto p = std::make_unique<ServiceProcess>(
+          pid, cfg.n, cfg.t, omega, fold, on_decide,
+          [&pending] { return !pending.empty(); });
       proc = p.get();
       sim.add_process(std::move(p));
     }
   }
 
-  rt::RtBridge bridge(cfg.id, link);
+  rt::RtBridge bridge(cfg.id, link, sim);
   sim.network().set_remote_hook(&bridge);
 
   // -------------------------------------------------------------------
   // svc payload dispatch (runs inside link.poll's deliver callback,
   // outside the simulator).
-  bool poke = false;  ///< adoption advanced state the sim can't see yet
+  /// A submission or an adoption changed state the sim can't see yet.
+  bool poke = false;
   const auto handle_svc = [&](ProcessId from, const std::uint8_t* data,
                               std::size_t len) {
     Submit sm;
@@ -391,6 +416,7 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
       cs.last_req = sm.req_seq;
       pending.push_back(PendingSubmit{from, sm.req_seq, sm.value});
       ++res.proposals_received;
+      poke = true;  // an idle driver waits for demand
       return;
     }
     SnapReq rq;
@@ -467,15 +493,14 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
     poke = false;
     link.poll(deliver);
     if (poke) {
-      // A snapshot adoption advanced the frontier outside the
-      // simulator; inject a no-op delivery (instance -1 routes
-      // nowhere) so the driver's wait predicate re-checks this pump,
-      // not at the next global tick.
+      // A submission or a snapshot adoption changed the driver's wait
+      // predicate outside the simulator; inject a no-op delivery
+      // (instance -1 routes nowhere) so it re-checks this pump, not at
+      // the next global tick.
       sim.inject_deliver(cfg.id,
                          sim.arena().create<core::DecisionMsg>(0, -1));
     }
     monitor.tick();
-    link.maintain();
     sim.pump(now - start);
 
     // Snapshot catch-up trigger: the observed peer frontier (epoch
@@ -508,6 +533,9 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
         next_snap_at = now + kSnapRetryMs;
       }
     }
+    // Flush after the pump: replies and phase frames it produced leave
+    // on this wakeup instead of waiting for the next.
+    link.maintain();
 
     Time deadline = end_at;
     const auto consider = [&deadline](Time at) {
@@ -618,7 +646,7 @@ void check_service_contract(const rt::ClusterConfig& cfg,
   std::map<std::uint64_t, std::set<std::int64_t>> decided;
   std::map<std::uint64_t, std::set<std::int64_t>> proposed;
   std::uint64_t max_frontier = 0;
-  bool any_loaded = false;
+  bool any_demand = false;
 
   for (const rt::ClusterNodeOutcome& node : res->nodes) {
     if (!node.launched) continue;
@@ -629,11 +657,11 @@ void check_service_contract(const rt::ClusterConfig& cfg,
     } catch (const std::exception&) {
       continue;  // a killed-and-never-restarted node leaves no result
     }
-    any_loaded = true;
     const auto get = [&](const std::string& k) -> double {
       const auto it = j.find(k);
       return it == j.end() ? 0.0 : it->second;
     };
+    any_demand = any_demand || get("svc_proposals_received") > 0;
     const auto frontier = static_cast<std::uint64_t>(get("svc_frontier"));
     max_frontier = std::max(max_frontier, frontier);
     for (std::uint64_t i = 0; i < frontier; ++i) {
@@ -680,8 +708,11 @@ void check_service_contract(const rt::ClusterConfig& cfg,
       }
     }
   }
-  if (any_loaded && max_frontier == 0) {
-    violation("svc progress: no node decided any instance");
+  // Instances run on demand: a cluster nobody submitted to decides
+  // nothing, and that is progress enough.
+  if (any_demand && max_frontier == 0) {
+    violation("svc progress: proposals were received but no node decided "
+              "any instance");
   }
   res->distinct_decided = max_distinct;
   if (!res->violations.empty() && res->detail.empty()) {

@@ -4,9 +4,11 @@
 // Where rt/node.h runs a fixed count of keep-alive *rounds*, each in a
 // fresh embedded simulator fenced by the link epoch, the service runs
 // ONE long-lived simulator hosting a lazily growing pipeline of
-// KSetCores — instance m+1 starts the moment m decides (the
+// KSetCores — instance m+1 starts once m decided and there is work for
+// it: a queued submission here, or a peer's phase traffic for m+1 (the
 // pipelining-by-decision design of core/repeated_kset, §3.2's repeated
-// workload), messages are routed by their in-band instance tag, and the
+// workload, driven by demand), messages are routed by their in-band
+// instance tag, and the
 // link runs with epoch gating OFF: the epoch field degrades into a pure
 // *frontier signal* (each node stamps its decided-prefix length into
 // every outgoing datagram header), which peers read to notice they have

@@ -18,8 +18,12 @@ namespace {
 
 // --- Consensus: kill coordinators at awkward moments ----------------------
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct has no padding: a 64-bit victim lays out the same bytes as a
+// ProcessId followed by zeroed padding. Implicit padding would carry
+// leftover heap bytes and rename the case every run.
 struct CoordCrashParam {
-  ProcessId victim;       ///< round-1..n coordinator candidates
+  std::int64_t victim;    ///< round-1..n coordinator candidates
   std::uint64_t sends;    ///< crash after this many sends
 };
 
@@ -27,24 +31,26 @@ class CoordinatorCrash : public ::testing::TestWithParam<CoordCrashParam> {};
 
 TEST_P(CoordinatorCrash, DiamondSConsensusSurvives) {
   const auto p = GetParam();
+  const auto victim = static_cast<ProcessId>(p.victim);
   core::ConsensusRunConfig cfg;
   cfg.n = 7;
   cfg.t = 3;
-  cfg.seed = 31 + static_cast<std::uint64_t>(p.victim);
-  cfg.crashes.crash_after_sends(p.victim, p.sends);
+  cfg.seed = 31 + static_cast<std::uint64_t>(victim);
+  cfg.crashes.crash_after_sends(victim, p.sends);
   auto r = core::run_diamond_s_consensus(cfg);
-  EXPECT_TRUE(r.all_correct_decided) << "victim p" << p.victim;
+  EXPECT_TRUE(r.all_correct_decided) << "victim p" << victim;
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
 }
 
 TEST_P(CoordinatorCrash, OmegaConsensusSurvives) {
   const auto p = GetParam();
+  const auto victim = static_cast<ProcessId>(p.victim);
   core::ConsensusRunConfig cfg;
   cfg.n = 7;
   cfg.t = 3;
-  cfg.seed = 57 + static_cast<std::uint64_t>(p.victim);
-  cfg.crashes.crash_after_sends(p.victim, p.sends);
+  cfg.seed = 57 + static_cast<std::uint64_t>(victim);
+  cfg.crashes.crash_after_sends(victim, p.sends);
   auto r = core::run_omega_consensus(cfg);
   EXPECT_TRUE(r.all_correct_decided);
   EXPECT_TRUE(r.agreement);

@@ -81,21 +81,27 @@ TEST(DiamondSKSet, WindowRotationCoversEveryProcess) {
   EXPECT_EQ(covered, ProcSet::full(7));
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct has no padding: k and crashes are 64-bit, which lays out the
+// same bytes as a 32-bit field followed by zeroed padding. Implicit
+// padding would carry leftover heap bytes and rename the case every run.
 struct DsParam {
-  int n, t, k;
+  int n, t;
+  std::int64_t k;
   std::uint64_t seed;
-  int crashes;
+  std::int64_t crashes;
 };
 
 class DiamondSKSetSweep : public ::testing::TestWithParam<DsParam> {};
 
 TEST_P(DiamondSKSetSweep, SafeAndLive) {
   const auto p = GetParam();
-  auto c = base(p.n, p.t, p.k, p.seed);
+  const int k = static_cast<int>(p.k);
+  auto c = base(p.n, p.t, k, p.seed);
   for (int i = 0; i < p.crashes; ++i) {
     c.crashes.crash_at((3 * i + 1) % p.n, 50 * (i + 1));
   }
-  expect_safe_and_live(run_diamond_s_kset(c), p.k);
+  expect_safe_and_live(run_diamond_s_kset(c), k);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,9 +17,12 @@
 #include "fault/link_faults.h"
 #include "rt/clock.h"
 #include "rt/codec.h"
+#include "rt/node_loop.h"
 #include "rt/udp_link.h"
 #include "rt/wire.h"
+#include "sim/delay_policy.h"
 #include "sim/reliable_broadcast.h"
+#include "sim/simulator.h"
 #include "core/kset_agreement.h"
 #include "core/lower_wheel.h"
 #include "core/upper_wheel.h"
@@ -612,6 +615,101 @@ TEST(UdpLinkTiming, UnreliableSendIsFireAndForget) {
   clock.set(10'000);
   link.maintain();
   EXPECT_EQ(link.stats().retransmits, 0u);
+}
+
+TEST(UdpLinkTiming, FirstContactReoffersInflightFramesAtOnce) {
+  TestClock clock;
+  UdpLinkParams params;
+  params.rto_base = 20;
+  // Peer 1's port is never bound, as when a peer has not started yet:
+  // the first transmissions vanish.
+  UdpLink link(0, 2, 48620, clock, params);
+  ASSERT_TRUE(link.ok());
+  link.send(1, {0x01});
+  link.send(1, {0x02});
+  clock.set(5);
+  link.maintain();
+  EXPECT_EQ(link.stats().retransmits, 0u);  // first retransmit due at 20
+
+  const UdpLink::DeliverFn none = [](ProcessId, const std::uint8_t*,
+                                     std::size_t) { FAIL(); };
+  // The peer's first datagram (it is listening now, and acks nothing):
+  // both in-flight frames become due at once.
+  wire::DatagramBuilder b;
+  b.begin(1, 0, 0);
+  link.process_datagram(b.data(), b.size(), none);
+  EXPECT_EQ(link.next_due(), 5);
+  link.maintain();
+  EXPECT_EQ(link.stats().retransmits, 2u);
+  EXPECT_EQ(link.pending(), 2u);
+
+  // Later datagrams from the same incarnation change nothing: the
+  // backoff resumes (attempt 1 is next due at 5 + 40).
+  clock.set(6);
+  link.process_datagram(b.data(), b.size(), none);
+  EXPECT_EQ(link.next_due(), 45);
+  link.maintain();
+  EXPECT_EQ(link.stats().retransmits, 2u);
+
+  // A restarted peer is first contact again: its new incarnation never
+  // saw the frames.
+  b.begin(1, 0, 1);
+  link.process_datagram(b.data(), b.size(), none);
+  EXPECT_EQ(link.stats().peer_restarts, 1u);
+  link.maintain();
+  EXPECT_EQ(link.stats().retransmits, 4u);
+}
+
+// --- the embedded simulator's outbound seam ---------------------------
+
+TEST(RtBridge, SelfAddressedSendIsDispatchedWithinTheSamePump) {
+  // Process 0 sends to itself at t=3, then to the remote id 1 at t=4.
+  class LocalHop final : public sim::Process {
+   public:
+    using Process::Process;
+    sim::ProtocolTask run() override {
+      co_await sleep_for(3);
+      send_to(id(), core::Phase2Msg{1, 42});
+      co_await sleep_for(1);
+      send_to(1, core::Phase2Msg{1, 43});
+    }
+    void on_message(const sim::Message& m) override {
+      if (dynamic_cast<const core::Phase2Msg*>(&m) != nullptr) {
+        received_at.push_back(now());
+      }
+    }
+    std::vector<Time> received_at;
+  };
+
+  TestClock clock;
+  UdpLink link(0, 2, 48624, clock);
+  ASSERT_TRUE(link.ok());
+  sim::SimConfig sc;
+  sc.n = 2;
+  sc.t = 0;
+  sim::Simulator sim(sc, sim::CrashPlan{},
+                     std::make_unique<sim::FixedDelay>(1));
+  auto& p = static_cast<LocalHop&>(
+      sim.add_process(std::make_unique<LocalHop>(0, 2, 0)));
+  sim.add_process(std::make_unique<RemoteStub>(1, 2, 0));
+  RtBridge bridge(0, link, sim);
+  sim.network().set_remote_hook(&bridge);
+  int first_sends = 0;
+  bridge.set_on_first_send([&] { ++first_sends; });
+
+  sim.pump(3);
+  // Delivered at t=3, not at t=3 + the delay policy's 1 ms.
+  ASSERT_EQ(p.received_at.size(), 1u);
+  EXPECT_EQ(p.received_at[0], 3);
+  // The local hop never reached the link, nor the WAL's first-send
+  // taint point.
+  EXPECT_EQ(link.pending(), 0u);
+  EXPECT_EQ(first_sends, 0);
+
+  sim.pump(4);
+  EXPECT_EQ(p.received_at.size(), 1u);
+  EXPECT_EQ(link.pending(), 1u);
+  EXPECT_EQ(first_sends, 1);
 }
 
 // --- exactly-once delivery under 30% loss + duplication ---------------

@@ -3,7 +3,9 @@
 // the engine's guard rails (delay >= 1, no scheduling into the past).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -287,6 +289,68 @@ TEST(SimEdges, DeliveryDigestIsInvariantAcrossIdenticalRuns) {
   const std::uint64_t first = digest_of();
   EXPECT_EQ(first, digest_of());
   EXPECT_EQ(first, digest_of());
+}
+
+TEST(SimEdges, FinishedTasksAreReaped) {
+  // One short-lived task per time unit, 10k of them: each sleeps once
+  // and returns. The engine must free every finished frame, so the
+  // live task count stays at the spawner plus its in-flight children.
+  class Spawner : public SinkProcess {
+   public:
+    using SinkProcess::SinkProcess;
+    ProtocolTask run() override {
+      for (int i = 0; i < 10'000; ++i) {
+        spawn(child());
+        max_live = std::max(max_live, live_tasks());
+        co_await sleep_for(1);
+      }
+    }
+    ProtocolTask child() {
+      co_await sleep_for(1);
+      ++finished;
+    }
+    std::size_t max_live = 0;
+    int finished = 0;
+  };
+  Simulator sim(cfg(1, 0, 20'000), CrashPlan{},
+                std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<Spawner&>(
+      sim.add_process(std::make_unique<Spawner>(0, 1, 0)));
+  sim.run();
+  EXPECT_EQ(p.finished, 10'000);
+  EXPECT_LE(p.max_live, 3u);
+  EXPECT_EQ(p.live_tasks(), 0u);
+}
+
+TEST(SimEdges, TaskThatThrewKeepsRethrowing) {
+  // Reaping frees only tasks that returned normally: a task that threw
+  // stays, and every later resume of any task rethrows its exception.
+  class Thrower : public SinkProcess {
+   public:
+    using SinkProcess::SinkProcess;
+    void boot() override {
+      spawn(bomb());
+      spawn(ticker());
+    }
+    ProtocolTask bomb() {
+      co_await sleep_for(1);
+      throw std::runtime_error("bomb");
+    }
+    ProtocolTask ticker() {
+      for (;;) co_await sleep_for(2);
+    }
+  };
+  Simulator sim(cfg(1, 0, 1000), CrashPlan{},
+                std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<Thrower&>(
+      sim.add_process(std::make_unique<Thrower>(0, 1, 0)));
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), 1);
+  EXPECT_EQ(p.live_tasks(), 2u);
+  // The ticker's next wakeup resumes a healthy task; the failed one is
+  // still there and rethrows.
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), 2);
 }
 
 TEST(SimEdgesDeath, SchedulingIntoThePastAborts) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "rt/cluster.h"
+#include "rt/node.h"
 #include "svc/client.h"
 #include "svc/server.h"
 #include "svc/wire.h"
@@ -174,6 +175,81 @@ TEST(SvcCluster, PipelinesAndServesClients) {
     const auto it = nj.find("svc_frontier");
     ASSERT_NE(it, nj.end()) << "node " << node.id;
     EXPECT_GT(it->second, 0.0) << "node " << node.id;
+  }
+}
+
+// Instances run on demand: a cluster no client talks to starts no
+// instance, decides nothing, and still holds the service contract. Its
+// simulators dispatch only the start events and the global ticks.
+TEST(SvcCluster, ClientlessClusterIdlesAndHoldsTheContract) {
+  rt::ClusterConfig cfg;
+  cfg.protocol = "svc";
+  cfg.n = 3;
+  cfg.t = 1;
+  cfg.k = 1;
+  cfg.base_port = 48800;
+  cfg.run_for_ms = 600;
+  cfg.linger_ms = 100;
+  cfg.out_dir = "test_svc_idle_out";
+  cfg.node_runner = svc::run_server;
+  cfg.contract_checker = svc::check_service_contract;
+  const rt::ClusterResult res = rt::run_cluster(cfg);
+  ASSERT_TRUE(res.contract_ok()) << res.detail;
+
+  const rt::NodeConfig defaults;
+  for (const rt::ClusterNodeOutcome& node : res.nodes) {
+    ASSERT_TRUE(node.launched);
+    const sweep::FlatJson nj =
+        sweep::load_json_numbers(rt::cluster_node_result_path(cfg, node.id));
+    EXPECT_EQ(nj.at("svc_frontier"), 0.0) << "node " << node.id;
+    EXPECT_EQ(nj.at("svc_proposals_received"), 0.0) << "node " << node.id;
+    const double ticks =
+        nj.at("total_elapsed_ms") / static_cast<double>(defaults.tick_period);
+    EXPECT_LE(nj.at("events_processed"), cfg.n + ticks + 1)
+        << "node " << node.id;
+  }
+}
+
+// The same cluster with one closed-loop client decides, answers it, and
+// advances every node's frontier. Only server 0 receives submissions;
+// the other two start each instance on its phase traffic.
+TEST(SvcCluster, OneClientDrivesDecisions) {
+  rt::ClusterConfig cfg;
+  cfg.protocol = "svc";
+  cfg.n = 3;
+  cfg.t = 1;
+  cfg.k = 1;
+  cfg.base_port = 48820;
+  cfg.run_for_ms = 1'200;
+  cfg.linger_ms = 200;
+  cfg.out_dir = "test_svc_one_out";
+  cfg.svc_client_slots = 1;
+  cfg.node_runner = svc::run_server;
+  cfg.contract_checker = svc::check_service_contract;
+
+  ClientTierConfig tier;
+  tier.n = cfg.n;
+  tier.base_port = cfg.base_port;
+  tier.clients = 1;
+  tier.total_slots = cfg.svc_client_slots;
+  tier.run_for_ms = 600;
+
+  ClientRunResult clients;
+  std::thread tier_thread([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    clients = run_client_tier(tier);
+  });
+  const rt::ClusterResult res = rt::run_cluster(cfg);
+  tier_thread.join();
+
+  ASSERT_TRUE(res.contract_ok()) << res.detail;
+  EXPECT_TRUE(clients.ok);
+  EXPECT_GT(clients.replies, 0u);
+  for (const rt::ClusterNodeOutcome& node : res.nodes) {
+    ASSERT_TRUE(node.launched);
+    const sweep::FlatJson nj =
+        sweep::load_json_numbers(rt::cluster_node_result_path(cfg, node.id));
+    EXPECT_GT(nj.at("svc_frontier"), 0.0) << "node " << node.id;
   }
 }
 
