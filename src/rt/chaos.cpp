@@ -1,7 +1,13 @@
 #include "rt/chaos.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -41,7 +47,105 @@ double percentile(std::vector<double> v, double q) {
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Node write-ahead record.
+// Node write-ahead log.
+
+namespace {
+
+constexpr std::size_t kWalBodyBytes = kWalRecordBytes - 4;
+
+void put_le(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint64_t get_le(const std::uint8_t* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+/// FNV-1a (32-bit) over a record's body. An all-zero body does not hash
+/// to 0, so a zero-filled block (a file extended but never written)
+/// fails the check.
+std::uint32_t wal_checksum(const std::uint8_t* p) {
+  std::uint32_t h = 2166136261u;
+  for (std::size_t i = 0; i < kWalBodyBytes; ++i) {
+    h ^= p[i];
+    h *= 16777619u;
+  }
+  return h;
+}
+
+void encode_wal_record(const WalRecord& r, std::uint8_t* out) {
+  std::memset(out, 0, kWalRecordBytes);
+  out[0] = static_cast<std::uint8_t>(r.kind);
+  put_le(out + 4, r.m, 4);
+  put_le(out + 8, static_cast<std::uint64_t>(r.v), 8);
+  put_le(out + 16, static_cast<std::uint32_t>(r.decision_ms), 4);
+  put_le(out + 20, static_cast<std::uint32_t>(r.decision_round), 4);
+  put_le(out + 24, static_cast<std::uint32_t>(r.elapsed_ms), 4);
+  put_le(out + kWalBodyBytes, wal_checksum(out), 4);
+}
+
+bool decode_wal_record(const std::uint8_t* in, WalRecord* r) {
+  if (get_le(in + kWalBodyBytes, 4) != wal_checksum(in)) return false;
+  if (in[0] < static_cast<std::uint8_t>(WalKind::kIncarnation) ||
+      in[0] > static_cast<std::uint8_t>(WalKind::kProposed) || in[1] != 0 ||
+      in[2] != 0 || in[3] != 0) {
+    return false;
+  }
+  r->kind = static_cast<WalKind>(in[0]);
+  r->m = static_cast<std::uint32_t>(get_le(in + 4, 4));
+  r->v = static_cast<std::int64_t>(get_le(in + 8, 8));
+  r->decision_ms = static_cast<std::int32_t>(get_le(in + 16, 4));
+  r->decision_round = static_cast<std::int32_t>(get_le(in + 20, 4));
+  r->elapsed_ms = static_cast<std::int32_t>(get_le(in + 24, 4));
+  return true;
+}
+
+}  // namespace
+
+WalRecord WalRecord::incarnation(std::uint32_t inc) {
+  WalRecord r;
+  r.kind = WalKind::kIncarnation;
+  r.m = inc;
+  return r;
+}
+
+WalRecord WalRecord::taint(int round) {
+  WalRecord r;
+  r.kind = WalKind::kTaint;
+  r.m = static_cast<std::uint32_t>(round);
+  return r;
+}
+
+WalRecord WalRecord::delivered(int round) {
+  WalRecord r;
+  r.kind = WalKind::kDelivered;
+  r.m = static_cast<std::uint32_t>(round);
+  return r;
+}
+
+WalRecord WalRecord::decided(int round, std::int64_t value, Time decision_ms,
+                             int decision_round, Time elapsed_ms) {
+  WalRecord r;
+  r.kind = WalKind::kDecided;
+  r.m = static_cast<std::uint32_t>(round);
+  r.v = value;
+  r.decision_ms = static_cast<std::int32_t>(decision_ms);
+  r.decision_round = decision_round;
+  r.elapsed_ms = static_cast<std::int32_t>(elapsed_ms);
+  return r;
+}
+
+WalRecord WalRecord::proposed(int instance, std::int64_t value) {
+  WalRecord r;
+  r.kind = WalKind::kProposed;
+  r.m = static_cast<std::uint32_t>(instance);
+  r.v = value;
+  return r;
+}
 
 WalRound* NodeWal::find(int round) {
   for (WalRound& r : rounds) {
@@ -58,79 +162,128 @@ const WalRound* NodeWal::find(int round) const {
 }
 
 WalRound& NodeWal::at(int round) {
+  // Records arrive in round order, so the newest round is the usual hit.
+  if (!rounds.empty() && rounds.back().round == round) return rounds.back();
   if (WalRound* r = find(round)) return *r;
   rounds.push_back({});
   rounds.back().round = round;
   return rounds.back();
 }
 
-std::string node_wal_json(const NodeWal& wal) {
-  sweep::JsonWriter w;
-  w.begin_object();
-  w.key("schema_v").value(1);
-  w.key("incarnation").value(static_cast<std::uint64_t>(wal.incarnation));
-  w.key("last_started").value(wal.last_started);
-  w.key("svc_frontier").value(wal.svc_frontier);
-  w.key("rounds").begin_array();
-  for (const WalRound& r : wal.rounds) {
-    w.begin_object();
-    w.key("round").value(r.round);
-    w.key("externalized").value(r.externalized);
-    w.key("decided").value(r.decided);
-    if (r.decided) {
-      // Only meaningful when decided; keeps sentinel values (INT64_MIN,
-      // kNeverTime) out of the numeric JSON round trip.
-      w.key("decision").value(r.decision);
-      w.key("decision_ms").value(static_cast<std::int64_t>(r.decision_ms));
-      w.key("decision_round").value(r.decision_round);
+std::size_t scan_wal(const std::string& path,
+                     const std::function<void(const WalRecord&)>& fn) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return 0;
+  std::size_t valid = 0;
+  std::vector<std::uint8_t> buf(kWalRecordBytes * 2048);
+  std::size_t have = 0;  // bytes buffered, not yet decoded
+  for (;;) {
+    const ssize_t got = ::read(fd, buf.data() + have, buf.size() - have);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;  // end of file (a short tail stays undecoded)
+    have += static_cast<std::size_t>(got);
+    std::size_t at = 0;
+    bool bad = false;
+    for (; at + kWalRecordBytes <= have; at += kWalRecordBytes) {
+      WalRecord r;
+      if (!decode_wal_record(buf.data() + at, &r)) {
+        bad = true;
+        break;
+      }
+      fn(r);
+      valid += kWalRecordBytes;
     }
-    w.key("elapsed_ms").value(static_cast<std::int64_t>(r.elapsed_ms));
-    w.key("delivered_mask").value(r.delivered_mask);
-    w.key("delivered").value(r.delivered);
-    w.end_object();
+    if (bad) break;
+    std::memmove(buf.data(), buf.data() + at, have - at);
+    have -= at;
   }
-  w.end_array();
-  w.end_object();
-  return w.str();
+  ::close(fd);
+  return valid;
 }
 
 bool load_node_wal(const std::string& path, NodeWal* wal) {
-  sweep::FlatJson j;
-  try {
-    j = sweep::load_json_numbers(path);
-  } catch (const std::exception&) {
-    return false;  // absent or unreadable: a first boot
-  }
-  if (j.find("incarnation") == j.end()) return false;
-  *wal = NodeWal{};
-  wal->incarnation = static_cast<std::uint32_t>(flat_get(j, "incarnation"));
-  wal->last_started = static_cast<int>(flat_get(j, "last_started", -1));
-  wal->svc_frontier =
-      static_cast<std::uint64_t>(flat_get(j, "svc_frontier", 0));
-  for (int i = 0;; ++i) {
-    const std::string p = "rounds." + std::to_string(i) + ".";
-    if (j.find(p + "round") == j.end()) break;
-    WalRound r;
-    r.round = static_cast<int>(flat_get(j, p + "round"));
-    r.externalized = flat_get(j, p + "externalized") != 0.0;
-    r.decided = flat_get(j, p + "decided") != 0.0;
-    if (r.decided) {
-      r.decision = static_cast<std::int64_t>(flat_get(j, p + "decision"));
-      r.decision_ms = static_cast<Time>(flat_get(j, p + "decision_ms"));
-      r.decision_round =
-          static_cast<int>(flat_get(j, p + "decision_round"));
+  NodeWal folded;
+  bool any_life = false;
+  const std::size_t valid = scan_wal(path, [&](const WalRecord& r) {
+    switch (r.kind) {
+      case WalKind::kIncarnation:
+        folded.incarnation = r.m;
+        any_life = true;
+        break;
+      case WalKind::kTaint:
+        folded.at(static_cast<int>(r.m)).externalized = true;
+        break;
+      case WalKind::kDelivered:
+        folded.at(static_cast<int>(r.m)).delivered = true;
+        break;
+      case WalKind::kDecided: {
+        WalRound& wr = folded.at(static_cast<int>(r.m));
+        wr.decided = true;
+        wr.decision = r.v;
+        wr.decision_ms = r.decision_ms;
+        wr.decision_round = r.decision_round;
+        wr.elapsed_ms = r.elapsed_ms;
+        break;
+      }
+      case WalKind::kProposed:
+        folded.tainted_max =
+            std::max<std::int64_t>(folded.tainted_max, r.m);
+        break;
     }
-    r.elapsed_ms = static_cast<Time>(flat_get(j, p + "elapsed_ms"));
-    r.delivered_mask =
-        static_cast<std::uint64_t>(flat_get(j, p + "delivered_mask"));
-    r.delivered = static_cast<std::uint64_t>(flat_get(j, p + "delivered"));
-    wal->rounds.push_back(r);
+  });
+  // Cut a torn or garbled tail, so the next append lands right after
+  // the last good record instead of behind bytes no load gets past.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 &&
+      static_cast<std::size_t>(st.st_size) > valid) {
+    SAF_CHECK_MSG(::truncate(path.c_str(), static_cast<off_t>(valid)) == 0,
+                  "load_node_wal: cannot truncate the torn tail");
   }
+  if (!any_life) return false;
+  *wal = std::move(folded);
   return true;
 }
 
-void store_node_wal(const std::string& path, const NodeWal& wal) {
-  sweep::write_file_atomic(path, node_wal_json(wal));
+WalWriter::WalWriter(const std::string& path)
+    : fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644)) {
+  SAF_CHECK_MSG(fd_ >= 0, "WalWriter: cannot open the log");
+}
+
+WalWriter::WalWriter(WalWriter&& other) noexcept : fd_(other.fd_) {
+  other.fd_ = -1;
+}
+
+WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = other.fd_;
+    other.fd_ = -1;
+  }
+  return *this;
+}
+
+WalWriter::~WalWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void WalWriter::append(const WalRecord& r) {
+  if (fd_ < 0) return;
+  std::uint8_t rec[kWalRecordBytes];
+  encode_wal_record(r, rec);
+  ssize_t put = -1;
+  do {
+    put = ::write(fd_, rec, sizeof rec);
+  } while (put < 0 && errno == EINTR);
+  SAF_CHECK_MSG(put == static_cast<ssize_t>(sizeof rec),
+                "WalWriter: short or failed append");
+}
+
+WalWriter recover_node_wal(const std::string& path, NodeWal* wal) {
+  if (load_node_wal(path, wal)) wal->incarnation += 1;
+  WalWriter log(path);
+  log.append(WalRecord::incarnation(wal->incarnation));
+  return log;
 }
 
 // ---------------------------------------------------------------------

@@ -10,11 +10,12 @@
 //   * a seeded, deterministic **kill schedule**: rt/cluster SIGKILLs
 //     live nodes at scheduled wall offsets (mid-round, not at launch)
 //     and re-forks them after a delay with a bumped incarnation;
-//   * a **write-ahead record** (NodeWal) each node keeps under
-//     tmp+rename: per-round decided values and delivery progress, so a
-//     restarted node restores its history, never re-runs a round whose
-//     messages already escaped (no double decide, no double RB seqs),
-//     and rejoins the keep-alive epoch stream via catch-up;
+//   * a **write-ahead log** (NodeWal) each node appends to: fixed-size
+//     binary records (incarnation, per-round taint, delivery and
+//     decision for keep-alive rounds; per-instance participation for the
+//     decision service), so a restarted node restores its history, never
+//     re-runs a round or instance whose messages already escaped (no
+//     double decide, no double RB seqs), and rejoins via catch-up;
 //   * **round verdicts**: every keep-alive round of a cluster run is
 //     classified with the same six-way vocabulary the simulator sweeps
 //     use (fault/verdict.h) — a kill or a lossy profile explains a
@@ -23,19 +24,33 @@
 //     (fault profiles x kill counts x heartbeat params) with the same
 //     checkpoint/resume discipline as check/fault_sweep.
 //
-// Safety argument for recovery, in one paragraph: a round is *tainted*
-// once the node externalized anything for it (first reliable send,
-// recorded in the WAL *before* the send leaves — see RtBridge's
-// on-first-send hook) — a restarted node skips tainted undecided
-// rounds instead of re-running them, so it can never produce a second,
-// different decision for a round the cluster may have already heard
-// from its previous life. Decided rounds are restored verbatim.
-// Untainted rounds re-run from scratch. The wire-level incarnation
-// field (rt/wire.h) keeps the two lives' seq streams apart.
+// Safety argument for recovery, in one paragraph: a round (or service
+// instance) is *tainted* once the node externalized anything for it —
+// the record is appended *before* the first reliable send leaves (see
+// RtBridge's on-first-send hook; the service appends its `proposed`
+// record before the instance's core starts). A restarted node never
+// runs a tainted round or instance again: it counts as crashed for it,
+// in the paper's crash-stop model. A keep-alive node skips such a round;
+// the service learns the instance's value from the cluster (reliable
+// broadcast or a snapshot). So a node can never produce a second,
+// different decision for something the cluster may already have heard
+// about from its previous life. Decided rounds are restored verbatim;
+// untainted rounds and instances run from scratch. The wire-level
+// incarnation field (rt/wire.h) keeps the two lives' seq streams apart.
+//
+// Durability: each record is one write(2) on an O_APPEND descriptor,
+// with no fsync. A SIGKILL does not lose writes already in the page
+// cache, and this model has no power loss, so a record whose write
+// returned is on the log for every later life. A kill can still land
+// mid-append; the load stops at the first short or bad-checksum record
+// and truncates the file there, so a torn tail never hides later
+// appends.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,35 +64,61 @@ struct ClusterConfig;  // rt/cluster.h
 struct ClusterResult;
 
 // ---------------------------------------------------------------------
-// Node write-ahead record.
+// Node write-ahead log.
 
-/// Per-round recovery record. `externalized` is the safety-bearing bit:
-/// it is persisted *before* the round's first reliable send, so "the
-/// cluster may have heard from this round" implies "the WAL says so".
+/// Record kinds. `m` is the incarnation, round or instance the record
+/// is about; `v` and the timing fields are used only where noted.
+enum class WalKind : std::uint8_t {
+  kIncarnation = 1,  ///< a life began as incarnation m
+  kTaint = 2,        ///< round m's first reliable send is about to leave
+  kDelivered = 3,    ///< round m consumed a peer's reliable payload
+  kDecided = 4,      ///< round m decided v (plus the timing fields)
+  kProposed = 5,     ///< svc instance m is about to run, proposing v
+};
+
+/// One log record. On disk it is kWalRecordBytes little-endian bytes:
+/// kind, three zero bytes, m, v, decision_ms, decision_round,
+/// elapsed_ms, then an FNV-1a checksum over everything before it.
+struct WalRecord {
+  WalKind kind = WalKind::kIncarnation;
+  std::uint32_t m = 0;
+  std::int64_t v = 0;
+  std::int32_t decision_ms = 0;  ///< round-relative decision instant
+  std::int32_t decision_round = 0;
+  std::int32_t elapsed_ms = 0;  ///< round wall duration so far
+
+  static WalRecord incarnation(std::uint32_t inc);
+  static WalRecord taint(int round);
+  static WalRecord delivered(int round);
+  static WalRecord decided(int round, std::int64_t value, Time decision_ms,
+                           int decision_round, Time elapsed_ms);
+  static WalRecord proposed(int instance, std::int64_t value);
+};
+
+inline constexpr std::size_t kWalRecordBytes = 32;
+
+/// Per-round recovery state of a keep-alive node, folded from the log.
+/// `externalized` is the safety-bearing bit: its record is appended
+/// *before* the round's first reliable send, so "the cluster may have
+/// heard from this round" implies "the log says so".
 struct WalRound {
   int round = -1;
   bool externalized = false;  ///< a reliable send left for this round
+  bool delivered = false;     ///< a peer's reliable payload was consumed
   bool decided = false;
   std::int64_t decision = INT64_MIN;
   Time decision_ms = kNeverTime;  ///< round-relative decision instant
   int decision_round = 0;         ///< protocol-internal round count
   Time elapsed_ms = 0;
-  std::uint64_t delivered_mask = 0;  ///< peers whose payloads we consumed
-  std::uint64_t delivered = 0;       ///< reliable payloads consumed
 };
 
+/// The in-memory fold of a node's log, read once at boot.
 struct NodeWal {
-  std::uint32_t incarnation = 0;  ///< bumped on every recovery load
-  int last_started = -1;          ///< newest round this life entered
-  /// Decision-service mode (svc/server.h): number of contiguously
-  /// decided instances when last persisted. The service deliberately
-  /// does NOT journal per-instance records here — an unbounded pipeline
-  /// rewriting the whole record per decision would be O(m^2) bytes — so
-  /// a restarted server recovers its decided-prefix log from peers via
-  /// snapshot catch-up, and the frontier only witnesses how far this
-  /// life had advanced (proving the rejoin was a jump, not a replay).
-  std::uint64_t svc_frontier = 0;
-  std::vector<WalRound> rounds;   ///< sparse, ordered by round
+  std::uint32_t incarnation = 0;  ///< newest life's incarnation
+  std::vector<WalRound> rounds;   ///< keep-alive rounds, ordered by round
+  /// Decision service: the highest instance any life proposed in, -1
+  /// for none. This life never runs an instance at or below it.
+  std::int64_t tainted_max = -1;
 
   WalRound* find(int round);
   const WalRound* find(int round) const;
@@ -85,17 +126,43 @@ struct NodeWal {
   WalRound& at(int round);
 };
 
-/// Loads `path`; false when the file is absent or unreadable (a first
-/// boot). Never throws: a garbled file — unreachable under tmp+rename,
-/// but chaos is the business of this header — reads as absent.
+/// Calls `fn` for each record of the log at `path`, in order, up to the
+/// first short or bad-checksum record. Returns the byte length of that
+/// valid prefix (0 for an absent file). Read-only.
+std::size_t scan_wal(const std::string& path,
+                     const std::function<void(const WalRecord&)>& fn);
+
+/// Folds the log at `path` into `*wal` and truncates the file after its
+/// valid prefix. False, with `*wal` untouched, when no life left an
+/// incarnation record: an absent or empty file is a first boot.
 bool load_node_wal(const std::string& path, NodeWal* wal);
 
-/// Persists the record via write_file_atomic (tmp+rename): a reader or
-/// a SIGKILL mid-write never observes a torn record.
-void store_node_wal(const std::string& path, const NodeWal& wal);
+/// Append handle on a node's log: one write(2) per record on an
+/// O_APPEND descriptor. A default-constructed writer has no log (the
+/// node runs without recovery) and appends nothing. A failed open or a
+/// failed or short write aborts the node: a crash is in the model, a
+/// lost taint record is not.
+class WalWriter {
+ public:
+  WalWriter() = default;
+  explicit WalWriter(const std::string& path);
+  WalWriter(WalWriter&& other) noexcept;
+  WalWriter& operator=(WalWriter&& other) noexcept;
+  WalWriter(const WalWriter&) = delete;
+  WalWriter& operator=(const WalWriter&) = delete;
+  ~WalWriter();
 
-/// Flat JSON round-trip (exposed for tests).
-std::string node_wal_json(const NodeWal& wal);
+  void append(const WalRecord& r);
+
+ private:
+  int fd_ = -1;
+};
+
+/// The boot step both node kinds share, before any socket or wire
+/// activity: loads the log (a restart bumps the incarnation past the
+/// previous life's) and appends this life's incarnation record, so a
+/// life that dies during recovery still comes back as a newer one.
+WalWriter recover_node_wal(const std::string& path, NodeWal* wal);
 
 // ---------------------------------------------------------------------
 // Kill schedule.

@@ -30,10 +30,6 @@ std::string node_trace_path(const ClusterConfig& cfg, ProcessId id) {
   return cfg.out_dir + "/node_" + std::to_string(id) + ".jsonl";
 }
 
-std::string node_wal_path(const ClusterConfig& cfg, ProcessId id) {
-  return cfg.out_dir + "/node_" + std::to_string(id) + ".wal";
-}
-
 NodeConfig node_config(const ClusterConfig& cfg, ProcessId id) {
   NodeConfig nc;
   nc.id = id;
@@ -56,13 +52,13 @@ NodeConfig node_config(const ClusterConfig& cfg, ProcessId id) {
   nc.result_path = node_result_path(cfg, id);
   if (cfg.trace) nc.trace_path = node_trace_path(cfg, id);
   if (cfg.chaos.enabled()) {
-    // WAL recovery needs a decided log to restore: kset rounds or the
-    // service's frontier. A killed wheels node would restart as a fresh
-    // incarnation-0 process (and the schedule never targets it unless
-    // explicitly configured).
+    // WAL recovery needs per-round or per-instance records: kset rounds
+    // or the service's participation records. A killed wheels node
+    // would restart as a fresh incarnation-0 process (and the schedule
+    // never targets it unless explicitly configured).
     if (cfg.chaos.kills > 0 &&
         (cfg.protocol == "kset" || cfg.protocol == "svc")) {
-      nc.wal_path = node_wal_path(cfg, id);
+      nc.wal_path = cluster_node_wal_path(cfg, id);
     }
     nc.faults = cfg.chaos.faults;
     nc.fault_seed =
@@ -228,7 +224,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     // would make a fresh node boot as a later incarnation. (Restarts
     // below deliberately do NOT unlink: recovery depends on both.)
     ::unlink(node_result_path(cfg, id).c_str());
-    ::unlink(node_wal_path(cfg, id).c_str());
+    ::unlink(cluster_node_wal_path(cfg, id).c_str());
     if (!spawn(id)) {
       res.detail = "fork failed";
       for (auto& [cid, cpid] : children) ::kill(cpid, SIGKILL);
@@ -397,6 +393,10 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
 
 std::string cluster_node_result_path(const ClusterConfig& cfg, ProcessId id) {
   return cfg.out_dir + "/node_" + std::to_string(id) + ".json";
+}
+
+std::string cluster_node_wal_path(const ClusterConfig& cfg, ProcessId id) {
+  return cfg.out_dir + "/node_" + std::to_string(id) + ".wal";
 }
 
 std::string cluster_result_json(const ClusterConfig& cfg,

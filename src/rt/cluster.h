@@ -118,6 +118,11 @@ ClusterResult run_cluster(const ClusterConfig& cfg);
 /// beyond the common outcome (e.g. the service's per-instance logs).
 std::string cluster_node_result_path(const ClusterConfig& cfg, ProcessId id);
 
+/// Path of node `id`'s write-ahead log under cfg.out_dir (rt/chaos.h);
+/// it holds every life of the node, so contract checkers read killed
+/// lives' records from it.
+std::string cluster_node_wal_path(const ClusterConfig& cfg, ProcessId id);
+
 /// Flat JSON summary of a cluster run (the rt_cluster CLI's output).
 std::string cluster_result_json(const ClusterConfig& cfg,
                                 const ClusterResult& res);

@@ -58,16 +58,15 @@ NodeResult run_node(const NodeConfig& cfg) {
   SAF_CHECK(cfg.rounds >= 1);
   NodeResult res;
 
-  // Crash recovery: load + bump + persist the WAL before any socket or
-  // wire activity, so a restart that dies during recovery still comes
-  // back with a fresh incarnation next time.
+  // Crash recovery: load the WAL and append this life's incarnation
+  // before any socket or wire activity (rt/chaos.h).
   NodeWal wal;
+  WalWriter wal_log;
   const bool wal_enabled = !cfg.wal_path.empty();
   if (wal_enabled) {
     SAF_CHECK_MSG(cfg.protocol == "kset",
                   "run_node: WAL recovery is kset-only");
-    if (load_node_wal(cfg.wal_path, &wal)) wal.incarnation += 1;
-    store_node_wal(cfg.wal_path, wal);
+    wal_log = recover_node_wal(cfg.wal_path, &wal);
   }
   res.incarnation = wal.incarnation;
 
@@ -148,7 +147,7 @@ NodeResult run_node(const NodeConfig& cfg) {
         res.decision_ms = rr.decision_ms;
         res.decision_round = rr.decision_round;
         ++res.restored_rounds;
-      } else if (wr->externalized || wr->delivered > 0) {
+      } else if (wr->externalized || wr->delivered) {
         ++res.skipped_rounds;
         all_decided = false;
       } else {
@@ -185,11 +184,6 @@ NodeResult run_node(const NodeConfig& cfg) {
     // in the window and retransmit), and this node acks-but-drops
     // stragglers from rounds it already left.
     link.set_epoch(static_cast<std::uint32_t>(round));
-    if (wal_enabled) {
-      wal.last_started = round;
-      wal.at(round);
-      store_node_wal(cfg.wal_path, wal);
-    }
 
     sim::SimConfig scfg;
     scfg.seed = cfg.seed + static_cast<std::uint64_t>(round);
@@ -232,15 +226,12 @@ NodeResult run_node(const NodeConfig& cfg) {
     RtBridge bridge(cfg.id, link, sim);
     sim.network().set_remote_hook(&bridge);
     if (wal_enabled) {
-      // The taint bit is strictly write-ahead: persisted before the
-      // round's first reliable send can reach any peer.
-      bridge.set_on_first_send([&, round] {
-        WalRound& wr = wal.at(round);
-        if (wr.externalized) return;
-        wr.externalized = true;
-        store_node_wal(cfg.wal_path, wal);
-      });
+      // The taint is strictly write-ahead: appended before the round's
+      // first reliable send can reach any peer.
+      bridge.set_on_first_send(
+          [&wal_log, round] { wal_log.append(WalRecord::taint(round)); });
     }
+    bool delivered_logged = false;
 
     const UdpLink::DeliverFn deliver = [&](ProcessId from,
                                            const std::uint8_t* data,
@@ -252,14 +243,12 @@ NodeResult run_node(const NodeConfig& cfg) {
       }
       const sim::Message* m = decode_message(data, len, sim.arena());
       if (m != nullptr) {
-        if (wal_enabled) {
-          // In-memory only (persisted with the next store): a consumed
-          // payload was acked and will never be resent, so the round is
-          // tainted for liveness purposes — it must not re-run and wait
-          // for messages that cannot come again.
-          WalRound& wr = wal.at(round);
-          ++wr.delivered;
-          if (from >= 0 && from < 64) wr.delivered_mask |= 1ULL << from;
+        if (!delivered_logged) {
+          // A consumed payload was acked and will never be resent, so
+          // the round is tainted for liveness purposes: it must not
+          // re-run and wait for messages that cannot come again.
+          wal_log.append(WalRecord::delivered(round));
+          delivered_logged = true;
         }
         sim.inject_deliver(cfg.id, m);
       }
@@ -301,18 +290,13 @@ NodeResult run_node(const NodeConfig& cfg) {
       if (kproc != nullptr && decided_at == kNeverTime &&
           kproc->core().decided()) {
         decided_at = now;
-        if (wal_enabled) {
-          // Durable at the instant of decision, not at end-of-round: a
-          // SIGKILL landing in the linger window must not demote this
-          // round to tainted-undecided (skipped forever on recovery)
-          // when the decision already exists.
-          WalRound& wr = wal.at(round);
-          wr.decided = true;
-          wr.decision = kproc->core().decision();
-          wr.decision_ms = kproc->core().decision_time();
-          wr.decision_round = kproc->core().decision_round();
-          store_node_wal(cfg.wal_path, wal);
-        }
+        // Durable at the instant of decision, not at end-of-round: a
+        // SIGKILL landing in the linger window must not demote this
+        // round to tainted-undecided (skipped forever on recovery) when
+        // the decision already exists.
+        wal_log.append(WalRecord::decided(
+            round, kproc->core().decision(), kproc->core().decision_time(),
+            kproc->core().decision_round(), elapsed));
         catching_up = false;
       }
       // Flush after the pump: the frames it just produced leave on this
@@ -365,16 +349,13 @@ NodeResult run_node(const NodeConfig& cfg) {
     res.events_processed += sim.events_processed();
     res.rounds[static_cast<std::size_t>(round)] = rr;
 
-    if (wal_enabled && rr.decided) {
-      WalRound& wr = wal.at(round);
-      wr.decided = true;
-      wr.decision = rr.decision;
-      wr.decision_ms = rr.decision_ms;
-      wr.decision_round = rr.decision_round;
-      wr.elapsed_ms = rr.elapsed_ms;
-      store_node_wal(cfg.wal_path, wal);
+    if (rr.decided) {
+      // Supersedes the decision-instant record with the round's full
+      // wall duration.
+      wal_log.append(WalRecord::decided(round, rr.decision, rr.decision_ms,
+                                        rr.decision_round, rr.elapsed_ms));
+      catching_up = false;  // rejoined: jump disarms
     }
-    if (rr.decided) catching_up = false;  // rejoined: jump disarms
 
     if (gave_up) {
       all_decided = false;

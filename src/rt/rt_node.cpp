@@ -30,8 +30,8 @@ void print_usage(std::ostream& os) {
         "               [--wal FILE] [--faults SPEC] [--fault-seed S]\n"
         "               [--help]\n"
         "\n"
-        "--wal FILE enables crash recovery (kset only): the node keeps a\n"
-        "tmp+rename write-ahead record there and, restarted after a kill,\n"
+        "--wal FILE enables crash recovery (kset only): the node appends\n"
+        "write-ahead records there and, restarted after a kill,\n"
         "bumps its incarnation, restores decided rounds and rejoins via\n"
         "catch-up. --faults installs a fault::LinkFaultModel profile on\n"
         "the live UDP link.\n";

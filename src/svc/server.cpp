@@ -57,6 +57,11 @@ constexpr Time kSnapRetryMs = 200;
 ///   * Instance m starts only when there is work for it: this node has
 ///     queued submissions, a peer's phase traffic for m arrived, or the
 ///     frontier passed m. An idle cluster runs no instances at all.
+///   * Instance m never starts at or below `tainted_max`, the highest
+///     instance a previous life of this node proposed in (its WAL's
+///     participation records). That life may have sent phase messages
+///     for m, so this one counts as crashed for m and waits until m is
+///     decided by the others (reliable broadcast or snapshot).
 ///   * A decision can arrive for ANY instance at any point — from this
 ///     node's own core, a peer's reliable-broadcast DecisionMsg, or a
 ///     snapshot — and always lands in record(): out-of-order decisions
@@ -81,8 +86,10 @@ class ServiceProcess final : public sim::Process {
   using DemandFn = std::function<bool()>;
 
   ServiceProcess(ProcessId id, int n, int t, const fd::LeaderOracle& omega,
-                 FoldFn fold, DecideFn on_decide, DemandFn has_demand)
+                 FoldFn fold, DecideFn on_decide, DemandFn has_demand,
+                 std::int64_t tainted_max)
       : Process(id, n, t),
+        tainted_max_(tainted_max),
         omega_(omega),
         fold_(std::move(fold)),
         on_decide_(std::move(on_decide)),
@@ -145,12 +152,14 @@ class ServiceProcess final : public sim::Process {
 
   /// Task T1 of the pipeline: run instance m once everything below it
   /// is decided and someone wants it decided; skip instances that
-  /// decided without us.
+  /// decided without us, and wait for the tainted ones to.
   sim::ProtocolTask driver() {
     for (;;) {
       const int m = next_;
       co_await until([this, m] {
-        return frontier_ > m || has_demand_() || future_.count(m) != 0;
+        return frontier_ > m ||
+               (m > tainted_max_ &&
+                (has_demand_() || future_.count(m) != 0));
       });
       prune_cores();
       if (frontier_ > m) {
@@ -213,6 +222,7 @@ class ServiceProcess final : public sim::Process {
     }
   }
 
+  const std::int64_t tainted_max_;
   const fd::LeaderOracle& omega_;
   FoldFn fold_;
   DecideFn on_decide_;
@@ -236,15 +246,14 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   SAF_CHECK(cfg.svc_jump_threshold >= 1);
   ServerResult res;
 
-  // Crash recovery, same discipline as rt/node: load + bump + persist
-  // before any wire activity. The service journals only the frontier —
-  // the decided log comes back from peers via snapshot, and the
-  // persisted frontier witnesses that the rejoin was a jump.
+  // Crash recovery, same discipline as rt/node: load the WAL and append
+  // this life's incarnation before any wire activity. The service logs
+  // one participation record per instance it runs; the decided log
+  // itself comes back from peers via snapshot.
   rt::NodeWal wal;
-  const bool wal_enabled = !cfg.wal_path.empty();
-  if (wal_enabled) {
-    if (rt::load_node_wal(cfg.wal_path, &wal)) wal.incarnation += 1;
-    rt::store_node_wal(cfg.wal_path, wal);
+  rt::WalWriter wal_log;
+  if (!cfg.wal_path.empty()) {
+    wal_log = rt::recover_node_wal(cfg.wal_path, &wal);
   }
   res.incarnation = wal.incarnation;
 
@@ -327,7 +336,9 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
 
   // Proposal batching: the whole queued backlog rides the next
   // instance (the proposal value is the head submission's; the rest of
-  // the batch is answered by the same decision).
+  // the batch is answered by the same decision). The driver calls this
+  // right before it starts the instance's core, so the participation
+  // record is write-ahead of the first phase send.
   const auto fold = [&](int inst) -> std::int64_t {
     std::int64_t v = 0;
     if (pending.empty()) {
@@ -338,6 +349,7 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
       pending.clear();
       ++res.batches;
     }
+    wal_log.append(rt::WalRecord::proposed(inst, v));
     res.proposal_instances.push_back(static_cast<std::uint64_t>(inst));
     res.proposals.push_back(v);
     return v;
@@ -346,13 +358,6 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   const auto on_decide = [&](int inst, std::int64_t value) {
     // The datagram-header epoch now advertises the new frontier.
     link.set_epoch(static_cast<std::uint32_t>(inst + 1));
-    // Frontier persistence is forensic (adoption re-derives the log
-    // from peers), so throttle the tmp+rename writes; the final store
-    // after the loop pins the exact value.
-    if (wal_enabled && (inst + 1) % 16 == 0) {
-      wal.svc_frontier = static_cast<std::uint64_t>(inst + 1);
-      rt::store_node_wal(cfg.wal_path, wal);
-    }
     if (auto it = batches.find(inst); it != batches.end()) {
       for (const PendingSubmit& s : it->second) {
         Reply rp;
@@ -380,7 +385,7 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
     } else {
       auto p = std::make_unique<ServiceProcess>(
           pid, cfg.n, cfg.t, omega, fold, on_decide,
-          [&pending] { return !pending.empty(); });
+          [&pending] { return !pending.empty(); }, wal.tainted_max);
       proc = p.get();
       sim.add_process(std::move(p));
     }
@@ -558,10 +563,6 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   res.final_trusted = omega.trusted(cfg.id, wall.now_ms());
   res.events_processed = sim.events_processed();
   res.link_stats = link.stats();
-  if (wal_enabled) {
-    wal.svc_frontier = res.frontier;
-    rt::store_node_wal(cfg.wal_path, wal);
-  }
   if (!cfg.metrics_path.empty()) {
     sweep::write_file_atomic(cfg.metrics_path, metrics.to_json());
   }
@@ -650,6 +651,14 @@ void check_service_contract(const rt::ClusterConfig& cfg,
 
   for (const rt::ClusterNodeOutcome& node : res->nodes) {
     if (!node.launched) continue;
+    // Every life's proposals, killed ones included, from the WAL (absent
+    // on kill-free runs; the result JSON below covers the last life).
+    rt::scan_wal(rt::cluster_node_wal_path(cfg, node.id),
+                 [&](const rt::WalRecord& r) {
+                   if (r.kind == rt::WalKind::kProposed) {
+                     proposed[r.m].insert(r.v);
+                   }
+                 });
     sweep::FlatJson j;
     try {
       j = sweep::load_json_numbers(
@@ -693,10 +702,10 @@ void check_service_contract(const rt::ClusterConfig& cfg,
                 " distinct values (k=" + std::to_string(cfg.k) + ")");
     }
   }
-  // Validity is only checkable when every proposal log survived: a
-  // SIGKILLed node's pre-restart proposals are gone with the life that
-  // made them, and injected faults can strand a batch's proposer.
-  if (cfg.chaos.kills == 0 && cfg.chaos.faults.empty()) {
+  // Killed lives' proposals survive in the WAL, so validity holds on
+  // every run without link faults; injected faults can strand a batch's
+  // proposer.
+  if (cfg.chaos.faults.empty()) {
     for (const auto& [inst, vals] : decided) {
       const auto pit = proposed.find(inst);
       for (const std::int64_t v : vals) {

@@ -27,10 +27,11 @@
 //     replaying instance by instance — the frontier-jump extension of
 //     rt/node's epoch-frontier rejoin. Adopting a decided value is
 //     always safe: decisions are final;
-//   * restart recovery — the WAL (rt/chaos.h) persists only the
-//     incarnation and the decided frontier (journaling an unbounded log
-//     would rewrite O(m^2) bytes); the restarted life re-fetches the
-//     prefix from peers via the same snapshot path.
+//   * restart recovery — the WAL (rt/chaos.h) appends the incarnation
+//     and one participation record per instance this node runs, before
+//     the instance's first send. A restarted life never runs an instance
+//     a previous life took part in (it counts as crashed for it), and
+//     re-fetches the decided prefix from peers via the snapshot path.
 #pragma once
 
 #include <cstdint>
@@ -91,10 +92,10 @@ std::string server_result_json(const rt::NodeConfig& cfg,
 ///   * agreement — at most k distinct decided values across nodes;
 ///   * prefix    — every node's decided log is a contiguous prefix
 ///                 (no holes below its frontier);
-///   * validity  — on kill-free runs, every decided value was proposed
-///                 by some node for that instance (killed nodes lose
-///                 their pre-restart proposal logs, so chaos runs skip
-///                 this clause);
+///   * validity  — on runs without link faults, every decided value was
+///                 proposed by some node for that instance (killed
+///                 lives' proposals are read from each node's WAL,
+///                 rt::cluster_node_wal_path);
 ///   * progress  — some launched node decided at least one instance.
 void check_service_contract(const rt::ClusterConfig& cfg,
                             rt::ClusterResult* res);

@@ -1,16 +1,17 @@
 // Chaos harness tests (src/rt/chaos).
 //
-// The pure pieces — WAL round-trip, kill-schedule determinism, the
-// six-way round classifier, torn-line detection — are pinned without
-// sockets. The headline properties run live: a real loopback cluster
-// absorbs a mid-round SIGKILL, the victim restarts with a bumped
-// incarnation, recovers through its write-ahead record and decides the
-// remaining rounds with zero in-model violations; an rt sweep
+// The pure pieces — WAL records and their torn-tail load, kill-schedule
+// determinism, the six-way round classifier, torn-line detection — are
+// pinned without sockets. The headline properties run live: a real
+// loopback cluster absorbs a mid-round SIGKILL, the victim restarts with
+// a bumped incarnation, recovers through its write-ahead log and decides
+// the remaining rounds with zero in-model violations; an rt sweep
 // checkpoint survives an interrupt and resumes to identical aggregates;
 // and a SIGTERM against a live rt_cluster subprocess exits 130 with
 // every child reaped.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/verdict.h"
@@ -39,61 +41,166 @@ std::string temp_path(const char* stem) {
          std::to_string(::getpid());
 }
 
-// --- write-ahead record ------------------------------------------------
+// --- write-ahead log ---------------------------------------------------
 
-TEST(NodeWal, JsonRoundTripRestoresEveryField) {
-  NodeWal wal;
-  wal.incarnation = 2;
-  wal.last_started = 7;
-  WalRound& r3 = wal.at(3);
-  r3.externalized = true;
-  r3.decided = true;
-  r3.decision = 104;
-  r3.decision_ms = 42;
-  r3.decision_round = 2;
-  r3.elapsed_ms = 55;
-  r3.delivered_mask = 0b1101;
-  r3.delivered = 9;
-  WalRound& r7 = wal.at(7);
-  r7.externalized = true;  // tainted, undecided: the skip-forever case
+/// Appends `recs` to the log at `path` through a fresh writer.
+void append_all(const std::string& path, const std::vector<WalRecord>& recs) {
+  WalWriter log(path);
+  for (const WalRecord& r : recs) log.append(r);
+}
 
+std::size_t file_size(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  return in ? static_cast<std::size_t>(in.tellg()) : 0;
+}
+
+TEST(NodeWal, EveryRecordKindRoundTrips) {
   const std::string path = temp_path("wal");
-  store_node_wal(path, wal);
+  std::remove(path.c_str());
+  append_all(path, {WalRecord::incarnation(0),
+                    WalRecord::taint(3),
+                    WalRecord::delivered(3),
+                    WalRecord::decided(3, -104, 42, 2, 40),
+                    WalRecord::decided(3, -104, 42, 2, 55),
+                    WalRecord::delivered(5),
+                    WalRecord::taint(7),
+                    WalRecord::proposed(9, 7),
+                    WalRecord::proposed(4, INT64_MIN),
+                    WalRecord::incarnation(2)});
+  EXPECT_EQ(file_size(path), 10 * kWalRecordBytes);
 
   NodeWal back;
   ASSERT_TRUE(load_node_wal(path, &back));
   EXPECT_EQ(back.incarnation, 2u);
-  EXPECT_EQ(back.last_started, 7);
-  ASSERT_EQ(back.rounds.size(), 2u);
+  EXPECT_EQ(back.tainted_max, 9);
+  ASSERT_EQ(back.rounds.size(), 3u);
   const WalRound* b3 = back.find(3);
   ASSERT_NE(b3, nullptr);
   EXPECT_TRUE(b3->externalized);
+  EXPECT_TRUE(b3->delivered);
   EXPECT_TRUE(b3->decided);
-  EXPECT_EQ(b3->decision, 104);
+  EXPECT_EQ(b3->decision, -104);
   EXPECT_EQ(b3->decision_ms, 42);
   EXPECT_EQ(b3->decision_round, 2);
-  EXPECT_EQ(b3->elapsed_ms, 55);
-  EXPECT_EQ(b3->delivered_mask, 0b1101u);
-  EXPECT_EQ(b3->delivered, 9u);
+  EXPECT_EQ(b3->elapsed_ms, 55) << "the later decided record supersedes";
+  const WalRound* b5 = back.find(5);
+  ASSERT_NE(b5, nullptr);
+  EXPECT_TRUE(b5->delivered);
+  EXPECT_FALSE(b5->externalized);
   const WalRound* b7 = back.find(7);
   ASSERT_NE(b7, nullptr);
-  EXPECT_TRUE(b7->externalized);
+  EXPECT_TRUE(b7->externalized);  // tainted, undecided: skipped forever
   EXPECT_FALSE(b7->decided);
-  EXPECT_EQ(back.find(5), nullptr);
+  EXPECT_EQ(back.find(4), nullptr);
+
+  // The boot step bumps past the newest life and logs the new one.
+  NodeWal again;
+  { WalWriter log = recover_node_wal(path, &again); }
+  EXPECT_EQ(again.incarnation, 3u);
+  NodeWal third;
+  ASSERT_TRUE(load_node_wal(path, &third));
+  EXPECT_EQ(third.incarnation, 3u);
+
+  // The contract checker's read-only scan sees every proposal.
+  std::vector<std::pair<std::uint32_t, std::int64_t>> proposals;
+  scan_wal(path, [&](const WalRecord& r) {
+    if (r.kind == WalKind::kProposed) proposals.emplace_back(r.m, r.v);
+  });
+  ASSERT_EQ(proposals.size(), 2u);
+  EXPECT_EQ(proposals[0], std::make_pair(9u, std::int64_t{7}));
+  EXPECT_EQ(proposals[1], std::make_pair(4u, std::int64_t{INT64_MIN}));
+  std::remove(path.c_str());
+}
+
+TEST(NodeWal, TornTailAndBadChecksumLoadAsTheValidPrefix) {
+  const std::string path = temp_path("wal_torn");
+  for (const bool flip : {false, true}) {
+    std::remove(path.c_str());
+    append_all(path, {WalRecord::incarnation(0), WalRecord::proposed(1, 11),
+                      WalRecord::proposed(2, 12)});
+    if (flip) {
+      // One flipped checksum byte in the last record.
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(3 * kWalRecordBytes - 1));
+      f.put('\x5a');
+    } else {
+      // A record cut off mid-append.
+      std::ofstream f(path, std::ios::app | std::ios::binary);
+      f.write("\x05\0\0\0\x03\0\0\0\x0d", 9);
+    }
+    NodeWal wal;
+    ASSERT_TRUE(load_node_wal(path, &wal)) << flip;
+    EXPECT_EQ(wal.tainted_max, flip ? 1 : 2) << flip;
+    EXPECT_EQ(file_size(path), (flip ? 2 : 3) * kWalRecordBytes)
+        << "the load truncates after the valid prefix";
+
+    // A later life's appends stay readable behind the cut.
+    append_all(path, {WalRecord::incarnation(1), WalRecord::proposed(6, 16)});
+    NodeWal later;
+    ASSERT_TRUE(load_node_wal(path, &later)) << flip;
+    EXPECT_EQ(later.incarnation, 1u) << flip;
+    EXPECT_EQ(later.tainted_max, 6) << flip;
+  }
   std::remove(path.c_str());
 }
 
 TEST(NodeWal, AbsentOrGarbledFileReadsAsFirstBoot) {
   NodeWal wal;
   wal.incarnation = 99;  // must be untouched on a failed load
-  EXPECT_FALSE(load_node_wal(temp_path("wal_absent"), &wal));
+  const std::string absent = temp_path("wal_absent");
+  std::remove(absent.c_str());
+  EXPECT_FALSE(load_node_wal(absent, &wal));
+  EXPECT_EQ(wal.incarnation, 99u);
+  EXPECT_EQ(scan_wal(absent, [](const WalRecord&) {}), 0u);
 
   const std::string path = temp_path("wal_garbled");
   {
     std::ofstream os(path);
-    os << "{\"incarnation\": this is not json";
+    os << "{\"incarnation\": this is not a binary log record at all";
   }
   EXPECT_FALSE(load_node_wal(path, &wal));
+  EXPECT_EQ(wal.incarnation, 99u);
+  EXPECT_EQ(file_size(path), 0u) << "garbage is cut before the next append";
+  std::remove(path.c_str());
+}
+
+TEST(NodeWal, SigkilledAppenderLeavesALoadableLog) {
+  const std::string path = temp_path("wal_kill");
+  std::remove(path.c_str());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    WalWriter log(path);
+    log.append(WalRecord::incarnation(0));
+    for (int i = 0;; ++i) log.append(WalRecord::proposed(i, 1000 + i));
+  }
+  // Let it append for a while, then kill it mid-loop.
+  for (int waited_ms = 0;
+       file_size(path) < 2000 * kWalRecordBytes && waited_ms < 10'000;
+       ++waited_ms) {
+    ::usleep(1000);
+  }
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status));
+
+  NodeWal wal;
+  ASSERT_TRUE(load_node_wal(path, &wal));
+  EXPECT_EQ(wal.incarnation, 0u);
+  EXPECT_GE(wal.tainted_max, 1998);
+  // Every record up to the cut is the one the child appended, in order.
+  std::int64_t next = 0;
+  bool in_order = true;
+  scan_wal(path, [&](const WalRecord& r) {
+    if (r.kind != WalKind::kProposed) return;
+    in_order = in_order && r.m == next && r.v == 1000 + next;
+    ++next;
+  });
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(next - 1, wal.tainted_max);
+  EXPECT_EQ(file_size(path),
+            static_cast<std::size_t>(next + 1) * kWalRecordBytes);
   std::remove(path.c_str());
 }
 

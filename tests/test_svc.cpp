@@ -4,10 +4,16 @@
 // tier, checked through the per-instance service contract.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "rt/chaos.h"
 #include "rt/cluster.h"
 #include "rt/node.h"
 #include "svc/client.h"
@@ -251,6 +257,63 @@ TEST(SvcCluster, OneClientDrivesDecisions) {
         sweep::load_json_numbers(rt::cluster_node_result_path(cfg, node.id));
     EXPECT_GT(nj.at("svc_frontier"), 0.0) << "node " << node.id;
   }
+}
+
+// A restarted server never runs an instance a previous life took part
+// in. Its WAL says an earlier life proposed in instances 0..9; alone (no
+// peers up) with one client submitting, this life holds demand but
+// starts none of them: it waits for the others to decide them. Without
+// the log, the same set-up starts instance 0 at once.
+TEST(SvcRecovery, TaintedInstancesAreNeverRunAgain) {
+  const auto run = [](std::uint16_t port, const std::string& wal_path) {
+    rt::NodeConfig cfg;
+    cfg.id = 0;
+    cfg.n = 3;
+    cfg.t = 1;
+    cfg.k = 1;
+    cfg.protocol = "svc";
+    cfg.base_port = port;
+    cfg.run_for_ms = 600;
+    cfg.linger_ms = 0;
+    cfg.svc_client_slots = 1;
+    cfg.wal_path = wal_path;
+
+    ClientTierConfig tier;
+    tier.n = cfg.n;
+    tier.base_port = port;
+    tier.clients = 1;
+    tier.total_slots = cfg.svc_client_slots;
+    tier.run_for_ms = 400;  // below resubmit_ms: every Submit goes to 0
+    std::thread tier_thread([&tier] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      run_client_tier(tier);
+    });
+    const ServerResult res = run_service_node(cfg);
+    tier_thread.join();
+    return res;
+  };
+
+  const std::string wal_path =
+      "test_svc_taint_" + std::to_string(::getpid()) + ".wal";
+  std::remove(wal_path.c_str());
+  {
+    rt::WalWriter log(wal_path);
+    log.append(rt::WalRecord::incarnation(0));
+    for (int m = 0; m <= 9; ++m) log.append(rt::WalRecord::proposed(m, 7));
+  }
+  const ServerResult tainted = run(48840, wal_path);
+  ASSERT_TRUE(tainted.ok);
+  EXPECT_EQ(tainted.incarnation, 1u);
+  EXPECT_GT(tainted.proposals_received, 0u);
+  for (const std::uint64_t m : tainted.proposal_instances) {
+    EXPECT_GT(m, 9u) << "ran tainted instance " << m;
+  }
+  std::remove(wal_path.c_str());
+
+  const ServerResult fresh = run(48850, "");
+  ASSERT_TRUE(fresh.ok);
+  EXPECT_GT(fresh.proposals_received, 0u);
+  EXPECT_EQ(fresh.proposal_instances, std::vector<std::uint64_t>{0});
 }
 
 }  // namespace
