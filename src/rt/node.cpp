@@ -299,8 +299,8 @@ NodeResult run_node(const NodeConfig& cfg) {
             kproc->core().decision_round(), elapsed));
         catching_up = false;
       }
-      // Flush after the pump: the frames it just produced leave on this
-      // wakeup instead of waiting in the datagram builders for the next.
+      // The wakeup's one flush, after the pump: the acks poll() staged
+      // share each peer's datagram with the frames the pump produced.
       link.maintain();
       if (decided_at != kNeverTime &&
           link.pending_excluding(monitor.suspected_now()) == 0) {

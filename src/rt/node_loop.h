@@ -1,6 +1,6 @@
 // Shared machinery of the live node loops (rt/node.cpp and the decision
 // service in svc/server.cpp): the inert remote-process stub, the
-// outbound transport bridge, and the epoll+timerfd waiter.
+// outbound transport bridge, and the epoll waiter.
 //
 // These are the embedded-simulator seams described in rt/node.h; they
 // are kept header-only so both loops compile the same splice without a
@@ -8,7 +8,7 @@
 #pragma once
 
 #include <sys/epoll.h>
-#include <sys/timerfd.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -87,27 +87,31 @@ class RtBridge final : public sim::RemoteTransportHook {
   std::function<void()> on_first_send_;
 };
 
-/// epoll + timerfd wakeup: the loop sleeps until the socket is readable
-/// or the armed deadline passes — no fixed pump quantum. Degrades to a
-/// short blocking wait if the kernel objects cannot be created.
+/// epoll wakeup: the loop sleeps until the socket is readable or the
+/// deadline passes (epoll_wait's own millisecond timeout) — no fixed
+/// pump quantum, one syscall per sleep. Degrades to a poll(2) wait if
+/// the epoll instance cannot be created.
 class Waiter {
  public:
   explicit Waiter(int socket_fd) {
+    // epoll_wait pads its timeout by the thread's timer slack, 50 us by
+    // default: a late wakeup on every timed sleep. At 1 ns the timeout
+    // is as punctual as an armed timerfd for the loops' short sleeps.
+    ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     ep_ = ::epoll_create1(0);
-    tfd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK);
-    if (ep_ < 0 || tfd_ < 0) return;
+    if (ep_ < 0) return;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = socket_fd;
     if (::epoll_ctl(ep_, EPOLL_CTL_ADD, socket_fd, &ev) != 0) {
-      close_all();
-      return;
+      ::close(ep_);
+      ep_ = -1;
     }
-    ev.data.fd = tfd_;
-    if (::epoll_ctl(ep_, EPOLL_CTL_ADD, tfd_, &ev) != 0) close_all();
   }
 
-  ~Waiter() { close_all(); }
+  ~Waiter() {
+    if (ep_ >= 0) ::close(ep_);
+  }
 
   Waiter(const Waiter&) = delete;
   Waiter& operator=(const Waiter&) = delete;
@@ -115,33 +119,16 @@ class Waiter {
   /// Sleeps until the socket is readable or `delay_ms` elapsed.
   void wait(UdpLink& link, Time delay_ms) {
     if (delay_ms <= 0) return;
-    if (ep_ < 0 || tfd_ < 0) {
+    if (ep_ < 0) {
       link.wait_readable(static_cast<int>(delay_ms));
       return;
     }
-    itimerspec its{};
-    its.it_value.tv_sec = static_cast<time_t>(delay_ms / 1000);
-    its.it_value.tv_nsec = static_cast<long>((delay_ms % 1000) * 1'000'000);
-    ::timerfd_settime(tfd_, 0, &its, nullptr);
-    epoll_event evs[2];
-    const int nev = ::epoll_wait(ep_, evs, 2, static_cast<int>(delay_ms));
-    for (int i = 0; i < nev; ++i) {
-      if (evs[i].data.fd == tfd_) {
-        std::uint64_t expirations = 0;
-        (void)!::read(tfd_, &expirations, sizeof(expirations));
-      }
-    }
+    epoll_event ev;
+    (void)::epoll_wait(ep_, &ev, 1, static_cast<int>(delay_ms));
   }
 
  private:
-  void close_all() {
-    if (ep_ >= 0) ::close(ep_);
-    if (tfd_ >= 0) ::close(tfd_);
-    ep_ = tfd_ = -1;
-  }
-
   int ep_ = -1;
-  int tfd_ = -1;
 };
 
 }  // namespace saf::rt

@@ -175,6 +175,9 @@ void UdpLink::enqueue_builder(ProcessId to) {
   if (peer.builder.empty()) return;
   peer.builder.set_cum_ack(peer.dedup.cumulative());
   peer.builder.set_dest_inc(peer.inc_known ? peer.inc : 0);
+  // Ungated, the header epoch is only the frontier signal: advertise
+  // the newest one, whatever epoch the datagram was begun under.
+  if (!params_.epoch_gating) peer.builder.set_epoch(epoch_);
   Rings& r = *rings_;
   if (r.staged == kRingDepth) flush_ring();
   const std::size_t slot = r.staged++;
@@ -187,6 +190,7 @@ void UdpLink::enqueue_builder(ProcessId to) {
   r.send_msgs[slot].msg_hdr.msg_namelen = sizeof(sockaddr_in);
   r.send_msgs[slot].msg_hdr.msg_iov = &r.send_iov[slot];
   r.send_msgs[slot].msg_hdr.msg_iovlen = 1;
+  peer.builder.begin(self_, peer.builder.epoch(), params_.incarnation);
 }
 
 void UdpLink::append_frame(ProcessId to, wire::FrameKind kind,
@@ -205,7 +209,8 @@ void UdpLink::append_frame(ProcessId to, wire::FrameKind kind,
   }
   Peer& peer = peer_of(to);
   for (int c = 0; c < copies; ++c) {
-    if (peer.builder.epoch() != epoch || !peer.builder.fits(len)) {
+    if ((params_.epoch_gating && peer.builder.epoch() != epoch) ||
+        !peer.builder.fits(len)) {
       enqueue_builder(to);
       peer.builder.begin(self_, epoch, params_.incarnation);
     }
@@ -246,19 +251,9 @@ void UdpLink::send_unreliable(ProcessId to,
 void UdpLink::flush() {
   if (fd_ < 0) return;
   for (ProcessId to = 0; to < endpoints_; ++to) {
-    Peer* peer = peers_[static_cast<std::size_t>(to)].get();
-    if (peer != nullptr && !peer->builder.empty()) {
-      const std::uint32_t e = peer->builder.epoch();
-      enqueue_builder(to);
-      peer->builder.begin(self_, e, params_.incarnation);
-    }
+    if (peers_[static_cast<std::size_t>(to)]) enqueue_builder(to);
   }
   flush_ring();
-}
-
-void UdpLink::set_epoch(std::uint32_t epoch) {
-  flush();  // never mix epochs inside one built datagram
-  epoch_ = epoch;
 }
 
 void UdpLink::promote(ProcessId to) {
@@ -395,8 +390,7 @@ void UdpLink::process_datagram(const std::uint8_t* data, std::size_t len,
   promote(from);  // acks may have opened window space
 }
 
-int UdpLink::replay_held(const DeliverFn& deliver) {
-  int replayed = 0;
+void UdpLink::replay_held(const DeliverFn& deliver) {
   for (ProcessId from = 0; from < endpoints_; ++from) {
     Peer* pp = peers_[static_cast<std::size_t>(from)].get();
     if (pp == nullptr) continue;
@@ -407,7 +401,6 @@ int UdpLink::replay_held(const DeliverFn& deliver) {
       if (h.epoch != epoch_) continue;  // skipped past it: retransmission
       append_frame(from, wire::FrameKind::kAck, h.seq, nullptr, 0, epoch_);
       ++stats_.acks_sent;
-      ++replayed;
       if (peer.dedup.fresh(h.seq)) {
         deliver(from, h.payload.data(), h.payload.size());
       } else {
@@ -415,12 +408,11 @@ int UdpLink::replay_held(const DeliverFn& deliver) {
       }
     }
   }
-  return replayed;
 }
 
 int UdpLink::poll(const DeliverFn& deliver) {
   if (fd_ < 0) return 0;
-  const int replayed = replay_held(deliver);
+  replay_held(deliver);
   Rings& r = *rings_;
   int read = 0;
   for (;;) {
@@ -438,9 +430,6 @@ int UdpLink::poll(const DeliverFn& deliver) {
     read += got;
     if (static_cast<std::size_t>(got) < kRingDepth) break;
   }
-  // Push the drain's worth of batched acks (and anything else staged)
-  // back out in one sendmmsg.
-  if (read > 0 || replayed > 0) flush();
   return read;
 }
 

@@ -33,7 +33,9 @@
 //   * syscalls   — transmission and reception go through fixed
 //                  preallocated rings flushed with sendmmsg/recvmmsg,
 //                  so one syscall moves up to a ring's worth of
-//                  datagrams in each direction;
+//                  datagrams in each direction; poll() only stages
+//                  acks and maintain() is the one flush, so a loop
+//                  wakeup sends its acks and data in one sendmmsg;
 //   * epochs     — keep-alive nodes (rt/node.h) run many protocol
 //                  rounds over one long-lived link; data frames are
 //                  tagged with the round epoch (stale-epoch data is
@@ -187,8 +189,8 @@ class UdpLink {
   int fd() const { return fd_; }
 
   /// Reliable exactly-once send (sequenced, acked, retransmitted).
-  /// Frames accumulate in per-peer datagrams until flush() — callers
-  /// batch a whole round's fan-out into one flush.
+  /// Frames accumulate in per-peer datagrams until flush() — a loop
+  /// wakeup's acks and fan-out leave together in maintain()'s flush.
   void send(ProcessId to, const std::uint8_t* data, std::size_t len);
   void send(ProcessId to, const std::vector<std::uint8_t>& payload) {
     send(to, payload.data(), payload.size());
@@ -199,17 +201,21 @@ class UdpLink {
   void send_unreliable(ProcessId to, const std::vector<std::uint8_t>& payload);
 
   /// Transmits every buffered datagram (packed frames, piggybacked
-  /// cumulative acks) with as few sendmmsg calls as possible.
+  /// cumulative acks) in one sendmmsg per ring's worth; maintain() is
+  /// its one caller on a live loop.
   void flush();
 
   /// Drains every readable datagram (recvmmsg into the preallocated
-  /// ring): acks + dedups reliable traffic, hands fresh payloads to
-  /// `deliver`, then flushes the batched acks. Returns datagrams read.
+  /// ring): acks + dedups reliable traffic and hands fresh payloads to
+  /// `deliver`. The acks are only staged, so they share a datagram with
+  /// what the caller sends that peer before maintain(). Returns
+  /// datagrams read.
   int poll(const DeliverFn& deliver);
 
   /// Retransmits overdue unacked sends, promotes backlogged sends into
   /// freed window space, abandons peers that exhausted max_retries, and
-  /// flushes. Call once per loop wakeup.
+  /// flushes. Call once per loop wakeup, after poll() and whatever the
+  /// wakeup sends: until then, staged acks do not leave.
   void maintain();
 
   /// Processes one already-received datagram (the guts of poll();
@@ -229,8 +235,11 @@ class UdpLink {
 
   /// Keep-alive round tag stamped on subsequent reliable sends.
   /// Receivers ack-but-drop data from older epochs and leave data from
-  /// newer epochs to retransmission. Flushes buffered frames first.
-  void set_epoch(std::uint32_t epoch);
+  /// newer epochs to retransmission. Transmits nothing: with gating on,
+  /// a frame of the new epoch starts a new datagram, so buffered frames
+  /// of the old one never share it; with gating off, every datagram
+  /// leaves stamped with the epoch current at transmit time.
+  void set_epoch(std::uint32_t epoch) { epoch_ = epoch; }
   std::uint32_t epoch() const { return epoch_; }
   std::uint32_t incarnation() const { return params_.incarnation; }
 
@@ -292,9 +301,9 @@ class UdpLink {
   };
 
   /// Appends one frame to `to`'s datagram under construction,
-  /// consulting the fault hook; transmits the datagram first when the
-  /// frame would not fit. `epoch` is the datagram epoch the frame
-  /// requires (builders never mix epochs).
+  /// consulting the fault hook; moves the datagram to the send ring
+  /// first when the frame would not fit. `epoch` is the datagram epoch
+  /// the frame requires (with gating on, builders never mix epochs).
   void append_frame(ProcessId to, wire::FrameKind kind, std::uint64_t seq,
                     const std::uint8_t* payload, std::size_t len,
                     std::uint32_t epoch);
@@ -307,9 +316,8 @@ class UdpLink {
   void promote(ProcessId to);
   /// Lazily-created per-peer state for `id` (bounds-checked).
   Peer& peer_of(ProcessId id);
-  /// Delivers held frames whose epoch caught up with ours; returns the
-  /// number replayed.
-  int replay_held(const DeliverFn& deliver);
+  /// Delivers (and acks) held frames whose epoch caught up with ours.
+  void replay_held(const DeliverFn& deliver);
   void retire_upto(ProcessId from, std::uint64_t cum_ack);
   void retire_seq(ProcessId from, std::uint64_t seq);
 

@@ -93,6 +93,12 @@ void DatagramBuilder::set_dest_inc(std::uint32_t dinc) {
   put_u32(buf_.data() + kOffDestInc, dinc);
 }
 
+void DatagramBuilder::set_epoch(std::uint32_t epoch) {
+  SAF_CHECK_MSG(size_ >= kDatagramHeader, "DatagramBuilder: begin() first");
+  epoch_ = epoch;
+  put_u32(buf_.data() + kOffEpoch, epoch);
+}
+
 bool DatagramReader::init(const std::uint8_t* data, std::size_t len) {
   emitted_ = 0;
   nframes_ = 0;

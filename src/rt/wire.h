@@ -100,6 +100,10 @@ class DatagramBuilder {
   /// advance while a datagram is under construction).
   void set_dest_inc(std::uint32_t dinc);
 
+  /// Rewrites the epoch header field (and epoch()) of the datagram
+  /// under construction.
+  void set_epoch(std::uint32_t epoch);
+
   std::size_t frames() const { return frames_; }
   bool empty() const { return frames_ == 0; }
   std::uint32_t epoch() const { return epoch_; }

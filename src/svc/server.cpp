@@ -356,7 +356,8 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   };
 
   const auto on_decide = [&](int inst, std::int64_t value) {
-    // The datagram-header epoch now advertises the new frontier.
+    // Datagrams leaving from here on advertise the new frontier in
+    // their header epoch (the link stamps it at transmit time).
     link.set_epoch(static_cast<std::uint32_t>(inst + 1));
     if (auto it = batches.find(inst); it != batches.end()) {
       for (const PendingSubmit& s : it->second) {
@@ -538,8 +539,8 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
         next_snap_at = now + kSnapRetryMs;
       }
     }
-    // Flush after the pump: replies and phase frames it produced leave
-    // on this wakeup instead of waiting for the next.
+    // The wakeup's one flush, after the pump: the acks poll() staged
+    // ride with the replies and phase frames it produced.
     link.maintain();
 
     Time deadline = end_at;

@@ -561,6 +561,123 @@ TEST(UdpLinkEpochGating, GatingOffDeliversDataAcrossAnyEpochSkew) {
   EXPECT_EQ(link.max_peer_epoch(), 9u);
 }
 
+// --- one flush per loop wakeup ----------------------------------------
+
+namespace {
+
+/// Records delivered one-byte payloads.
+struct Collector {
+  std::vector<int> seen;
+  UdpLink::DeliverFn fn() {
+    return [this](ProcessId, const std::uint8_t* data, std::size_t len) {
+      ASSERT_EQ(len, 1u);
+      seen.push_back(data[0]);
+    };
+  }
+};
+
+/// Polls `link` once its socket is readable (loopback datagrams are
+/// queued by the sending syscall itself; the wait is a safety net).
+int poll_ready(UdpLink& link, const UdpLink::DeliverFn& deliver) {
+  link.wait_readable(1000);
+  return link.poll(deliver);
+}
+
+}  // namespace
+
+TEST(UdpLinkFlush, AcksRideTheWakeupsDataInOneSendmmsg) {
+  TestClock clock;
+  UdpLink a(0, 2, 48700, clock);
+  UdpLink b(1, 2, 48700, clock);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Collector at_a, at_b;
+
+  a.send(1, {0x11});
+  a.maintain();
+  ASSERT_EQ(a.pending(), 1u);
+
+  // One wakeup of b: poll the data frame, reply to the same peer, then
+  // the loop's one maintain().
+  ASSERT_EQ(poll_ready(b, at_b.fn()), 1);
+  ASSERT_EQ(at_b.seen, std::vector<int>{0x11});
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  EXPECT_EQ(b.stats().syscalls_send, 0u);  // poll() staged, sent nothing
+  b.send(0, {0x22});
+  b.maintain();
+  EXPECT_EQ(b.stats().syscalls_send, 1u);
+  EXPECT_EQ(b.stats().datagrams_sent, 1u);
+  EXPECT_EQ(b.stats().frames_sent, 2u);  // the ack and the reply
+
+  // That one datagram both delivers the reply and retires a's send.
+  ASSERT_EQ(poll_ready(a, at_a.fn()), 1);
+  EXPECT_EQ(a.stats().datagrams_received, 1u);
+  EXPECT_EQ(a.stats().frames_received, 2u);
+  EXPECT_EQ(at_a.seen, std::vector<int>{0x22});
+  EXPECT_EQ(a.pending(), 0u);
+}
+
+TEST(UdpLinkFlush, SetEpochMakesNoSyscall) {
+  TestClock clock;
+  UdpLink link(0, 2, 48704, clock);
+  ASSERT_TRUE(link.ok());
+  link.send(1, {0x01});
+  link.set_epoch(1);
+  link.set_epoch(2);
+  EXPECT_EQ(link.stats().syscalls_send, 0u);
+  EXPECT_EQ(link.stats().datagrams_sent, 0u);
+}
+
+TEST(UdpLinkFlush, GatedEpochsNeverShareADatagram) {
+  TestClock clock;
+  UdpLink a(0, 2, 48708, clock);
+  UdpLink b(1, 2, 48708, clock);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Collector at_b;
+
+  a.send(1, {0x30});
+  a.set_epoch(1);
+  a.send(1, {0x31});
+  a.maintain();
+  // Both epochs leave in the one flush, as two datagrams.
+  EXPECT_EQ(a.stats().syscalls_send, 1u);
+  EXPECT_EQ(a.stats().datagrams_sent, 2u);
+
+  // b, still in epoch 0, delivers the epoch-0 frame and holds the
+  // epoch-1 one: each datagram carried a single epoch.
+  b.wait_readable(1000);
+  for (int i = 0; i < 100 && b.stats().datagrams_received < 2; ++i) {
+    b.poll(at_b.fn());
+  }
+  EXPECT_EQ(b.stats().datagrams_received, 2u);
+  EXPECT_EQ(at_b.seen, std::vector<int>{0x30});
+  EXPECT_EQ(b.stats().future_held, 1u);
+  EXPECT_EQ(b.max_peer_epoch(), 1u);
+}
+
+TEST(UdpLinkFlush, UngatedDatagramLeavesStampedWithTheCurrentEpoch) {
+  TestClock clock;
+  UdpLinkParams params;
+  params.epoch_gating = false;
+  UdpLink a(0, 2, 48712, clock, params);
+  UdpLink b(1, 2, 48712, clock, params);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Collector at_b;
+
+  a.send(1, {0x40});  // staged under epoch 0
+  a.set_epoch(5);
+  a.send(1, {0x41});
+  a.maintain();
+  EXPECT_EQ(a.stats().syscalls_send, 1u);
+  EXPECT_EQ(a.stats().datagrams_sent, 1u);  // no split at the epoch change
+
+  ASSERT_EQ(poll_ready(b, at_b.fn()), 1);
+  EXPECT_EQ(at_b.seen, (std::vector<int>{0x40, 0x41}));
+  EXPECT_EQ(b.max_peer_epoch(), 5u);
+}
+
 // --- retransmission timing against a hand-advanced clock --------------
 
 TEST(UdpLinkTiming, RetransmitsFollowBackoffAndAbandon) {
@@ -762,6 +879,7 @@ TEST(UdpLinkLoopback, ExactlyOnceUnderLossAndDuplication) {
     // still in flight.
     for (int drain = 0; drain < 3; ++drain) {
       receiver.poll(collect);
+      receiver.maintain();  // poll() only stages the acks; this sends them
       sender.poll(none);  // acks only; DATA never flows receiver->sender
     }
   }

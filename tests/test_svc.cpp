@@ -4,6 +4,7 @@
 // tier, checked through the per-instance service contract.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -132,6 +133,80 @@ TEST(SvcClient, LatencyPercentileNearestRank) {
   EXPECT_EQ(latency_percentile({7.5}, 99), 7.5);
 }
 
+// A client tier running in a forked child process, so that the test
+// holds no thread of its own when run_cluster forks the servers. A fork
+// taken while another thread is inside malloc leaves the child holding
+// that allocator lock forever: under ASan the tier thread's allocations
+// left server 0 blocked on a size-class mutex of ASan's allocator and
+// the cluster blew its wall budget. The result comes back over a pipe.
+class ForkedTier {
+ public:
+  ForkedTier(const ClientTierConfig& tier, int delay_ms) {
+    int fds[2];
+    if (::pipe(fds) != 0) return;
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::close(fds[0]);
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      const ClientRunResult r = run_client_tier(tier);
+      const std::uint64_t head[4] = {r.ok ? 1u : 0u, r.submitted, r.replies,
+                                     r.churns};
+      const std::uint64_t nlat = r.latencies_ms.size();
+      put(fds[1], head, sizeof(head));
+      put(fds[1], &nlat, sizeof(nlat));
+      put(fds[1], r.latencies_ms.data(), nlat * sizeof(double));
+      ::_exit(0);
+    }
+    ::close(fds[1]);
+    fd_ = pid_ > 0 ? fds[0] : -1;
+    if (fd_ < 0) ::close(fds[0]);
+  }
+
+  /// Waits for the child; a tier that could not run reports ok = false.
+  ClientRunResult join() {
+    ClientRunResult r;
+    std::uint64_t head[4] = {};
+    std::uint64_t nlat = 0;
+    if (fd_ >= 0 && get(fd_, head, sizeof(head)) &&
+        get(fd_, &nlat, sizeof(nlat))) {
+      r.latencies_ms.resize(nlat);
+      if (get(fd_, r.latencies_ms.data(), nlat * sizeof(double))) {
+        r.ok = head[0] == 1;
+        r.submitted = head[1];
+        r.replies = head[2];
+        r.churns = head[3];
+      }
+    }
+    if (fd_ >= 0) ::close(fd_);
+    if (pid_ > 0) ::waitpid(pid_, nullptr, 0);
+    return r;
+  }
+
+ private:
+  static void put(int fd, const void* p, std::size_t len) {
+    const auto* b = static_cast<const char*>(p);
+    while (len > 0) {
+      const ssize_t w = ::write(fd, b, len);
+      if (w <= 0) return;
+      b += w;
+      len -= static_cast<std::size_t>(w);
+    }
+  }
+  static bool get(int fd, void* p, std::size_t len) {
+    auto* b = static_cast<char*>(p);
+    while (len > 0) {
+      const ssize_t got = ::read(fd, b, len);
+      if (got <= 0) return false;
+      b += got;
+      len -= static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+  pid_t pid_ = -1;
+  int fd_ = -1;
+};
+
 // End-to-end: a five-node svc cluster pipelines instances for ~2s while
 // a small client tier submits through churned links; the run must hold
 // the per-instance service contract, advance the decided frontier on
@@ -157,13 +232,9 @@ TEST(SvcCluster, PipelinesAndServesClients) {
   tier.run_for_ms = 1'200;
   tier.churn_lifetime_ms = 600;
 
-  ClientRunResult clients;
-  std::thread tier_thread([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    clients = run_client_tier(tier);
-  });
+  ForkedTier tier_proc(tier, 400);
   const rt::ClusterResult res = rt::run_cluster(cfg);
-  tier_thread.join();
+  const ClientRunResult clients = tier_proc.join();
 
   ASSERT_TRUE(res.contract_ok()) << res.detail;
   EXPECT_TRUE(clients.ok);
@@ -240,13 +311,9 @@ TEST(SvcCluster, OneClientDrivesDecisions) {
   tier.total_slots = cfg.svc_client_slots;
   tier.run_for_ms = 600;
 
-  ClientRunResult clients;
-  std::thread tier_thread([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    clients = run_client_tier(tier);
-  });
+  ForkedTier tier_proc(tier, 200);
   const rt::ClusterResult res = rt::run_cluster(cfg);
-  tier_thread.join();
+  const ClientRunResult clients = tier_proc.join();
 
   ASSERT_TRUE(res.contract_ok()) << res.detail;
   EXPECT_TRUE(clients.ok);
