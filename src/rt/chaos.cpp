@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "fault/fault_spec.h"
 #include "rt/cluster.h"
 #include "sweep/bench_json.h"
 #include "util/check.h"
@@ -355,6 +356,13 @@ std::vector<RtRoundVerdict> classify_rt_rounds(const ClusterConfig& cfg,
     return out;
   }
 
+  // Only payload corruption explains a safety break. Kills are inside
+  // the recovery model (the WAL taint), and the link's retransmission
+  // and dedup hide drop, dup, burst loss and partitions.
+  const bool corrupting =
+      !cfg.chaos.faults.empty() &&
+      fault::parse_fault_spec(cfg.chaos.faults).link.corrupt > 0;
+
   std::set<std::int64_t> proposed;
   for (ProcessId id = cfg.crash; id < cfg.n; ++id) {
     proposed.insert(100 + id);  // run_node's default proposal
@@ -391,8 +399,8 @@ std::vector<RtRoundVerdict> classify_rt_rounds(const ClusterConfig& cfg,
                             std::to_string(decided_values.size()) +
                             " distinct decisions > k"
                       : "validity: decided a never-proposed value";
-      rv.verdict = chaos_active ? fault::Verdict::kViolationExplained
-                                : fault::Verdict::kViolationInModel;
+      rv.verdict = corrupting ? fault::Verdict::kViolationExplained
+                              : fault::Verdict::kViolationInModel;
     } else if (!termination) {
       if (chaos_active) {
         rv.detail = "termination: missed under chaos (kills/link faults)";

@@ -212,8 +212,11 @@ struct ChaosEvent {
 
 /// Verdict for one keep-alive round of a cluster run, using the sweep
 /// vocabulary (fault/verdict.h):
-///   * agreement/validity break, chaos active  => VIOLATION_EXPLAINED
-///   * agreement/validity break, clean run     => VIOLATION_IN_MODEL
+///   * agreement/validity break, link faults corrupt payloads
+///                                             => VIOLATION_EXPLAINED
+///   * agreement/validity break otherwise      => VIOLATION_IN_MODEL
+///     (kills are inside the WAL recovery model, and retransmission
+///     hides drop, dup, burst loss and partitions)
 ///   * termination miss, chaos active          => VIOLATION_EXPLAINED
 ///     (a kill within the budget explains the missing decision); a
 ///     killed node's own undecided rounds are excused entirely — the

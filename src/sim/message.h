@@ -5,7 +5,8 @@
 // per-run arena: a send bump-allocates the payload once, every recipient
 // of a broadcast shares the same object, and nothing is reference-counted
 // on the delivery path. The arena frees all messages wholesale when the
-// run's Simulator is destroyed.
+// run's Simulator is destroyed, or when a long-lived runtime recycles it
+// between pumps (Simulator::recycle_arena).
 #pragma once
 
 #include <string_view>

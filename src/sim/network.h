@@ -69,7 +69,7 @@ class Network {
   ~Network();
 
   /// Point-to-point send; no-op if `from` has crashed. `m` must be owned
-  /// by the simulator's arena (it outlives the run).
+  /// by the simulator's arena (it lives until the arena is reset).
   void send(ProcessId from, ProcessId to, const Message* m);
 
   /// Send to every process, including the sender itself. All recipients

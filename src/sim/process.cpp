@@ -173,6 +173,12 @@ void Process::rbroadcast_raw(const Message* m) {
   rb_->rbroadcast(m);
 }
 
+void Process::seed_rb_seq(std::uint64_t first) { rb_->set_next_seq(first); }
+
+bool Process::holds_arena_pointers() const {
+  return !interned_.empty() || rb_->holds_arena_pointers();
+}
+
 void Process::enable_rb_acks(Time backoff_base, int max_retries) {
   rb_->enable_acks(RbRetryParams{backoff_base, max_retries});
 }

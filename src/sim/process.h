@@ -158,6 +158,12 @@ class Process {
   /// process has been added to a Simulator.
   util::Arena& arena();
 
+  /// Starts this process's reliable-broadcast origin sequence at
+  /// `first` instead of 0 (see RbLayer::set_next_seq). For a process
+  /// that outlives a restart of its origin id; call before the first
+  /// rbroadcast.
+  void seed_rb_seq(std::uint64_t first);
+
  private:
   friend class Simulator;
   friend class RbLayer;
@@ -169,6 +175,9 @@ class Process {
   };
 
   void attach(Simulator* sim);
+  /// True while engine-owned per-process state points into the arena
+  /// across events (Simulator::recycle_arena's guard).
+  bool holds_arena_pointers() const;
   void start();
   /// Folds the engine-owned per-process state (started flag, waiter
   /// multiset, RB dedup set) into `d`; the protocol's own members are

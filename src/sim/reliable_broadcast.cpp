@@ -9,8 +9,10 @@
 namespace saf::sim {
 
 namespace {
+constexpr int kOriginShift = 40;
+
 std::uint64_t key_of(ProcessId origin, std::uint64_t seq) {
-  return (static_cast<std::uint64_t>(origin) << 40) | seq;
+  return (static_cast<std::uint64_t>(origin) << kOriginShift) | seq;
 }
 }  // namespace
 
@@ -28,6 +30,12 @@ void RbLayer::enable_acks(RbRetryParams params) {
   SAF_CHECK_MSG(params.max_retries >= 0, "max_retries must be >= 0");
   acks_enabled_ = true;
   params_ = params;
+}
+
+void RbLayer::set_next_seq(std::uint64_t first) {
+  SAF_CHECK_MSG(first < (std::uint64_t{1} << kOriginShift),
+                "RB origin seq must stay below the key's origin shift");
+  next_seq_ = first;
 }
 
 void RbLayer::rbroadcast(const Message* m) {
@@ -83,8 +91,8 @@ void RbLayer::digest(StateDigest& d) const {
   keys.reserve(seen_.size());
   for (const std::uint64_t k : seen_) {
     StateDigest kd(d.perm());
-    kd.mix_id(static_cast<ProcessId>(k >> 40));
-    kd.mix_u64(k & ((std::uint64_t{1} << 40) - 1));
+    kd.mix_id(static_cast<ProcessId>(k >> kOriginShift));
+    kd.mix_u64(k & ((std::uint64_t{1} << kOriginShift) - 1));
     keys.push_back(kd.value());
   }
   std::sort(keys.begin(), keys.end());

@@ -51,7 +51,7 @@ struct RbEnvelope final : Message {
 
   ProcessId origin = -1;
   std::uint64_t origin_seq = 0;
-  const Message* inner = nullptr;  ///< arena-owned, outlives the run
+  const Message* inner = nullptr;  ///< arena-owned, shared by every copy
 };
 
 /// Acknowledges receipt of one envelope copy to its transport-level
@@ -84,6 +84,17 @@ class RbLayer {
   /// Call on every process of a run before it starts.
   void enable_acks(RbRetryParams params);
   bool acks_enabled() const { return acks_enabled_; }
+
+  /// Starts the owner's origin sequence at `first`. A node that restarts
+  /// under the same origin id must not reuse its earlier life's
+  /// (origin, seq) keys, which peers' dedup sets still hold: seeding with
+  /// incarnation << 32 keeps the lives disjoint. `first` must stay below
+  /// 2^40, the key's origin shift. Sim runs never call this.
+  void set_next_seq(std::uint64_t first);
+
+  /// True while the ack-mode retransmission ledger holds envelopes
+  /// (arena pointers kept across events).
+  bool holds_arena_pointers() const { return !pending_.empty(); }
 
   /// Initiates R_broadcast of `m` from the owning process. `m` must be
   /// arena-owned with its sender already stamped.

@@ -68,12 +68,23 @@ void Simulator::schedule_deliver(Time at, ProcessId to, const Message* m) {
   SAF_CHECK_MSG(at >= now_, "cannot schedule into the past");
   tracer_.event_post(at, next_seq_);
   queue_.push(Event{at, next_seq_++, to, m, {}});
+  ++pending_deliveries_;
 }
 
 void Simulator::schedule_broadcast_deliver(Time at, const Message* m) {
   SAF_CHECK_MSG(at >= now_, "cannot schedule into the past");
   tracer_.event_post(at, next_seq_);
   queue_.push(Event{at, next_seq_++, kBroadcastRecipient, m, {}});
+  ++pending_deliveries_;
+}
+
+bool Simulator::recycle_arena() {
+  if (pending_deliveries_ != 0) return false;
+  for (const auto& p : processes_) {
+    if (p->holds_arena_pointers()) return false;
+  }
+  arena_.reset();
+  return true;
 }
 
 void Simulator::crash(ProcessId pid) {
@@ -244,6 +255,25 @@ void Simulator::run() {
   run_until({});
 }
 
+void Simulator::dispatch(Event& e) {
+  now_ = e.time;
+  ++events_processed_;
+  if (tracer_.active()) {
+    tracer_.event_dispatch(e.time, e.seq);
+    tracer_.event_processed();
+  }
+  if (e.msg != nullptr) {
+    --pending_deliveries_;  // the caller popped it
+    if (e.to == kBroadcastRecipient) {
+      deliver_all(*e.msg);
+    } else {
+      deliver(e.to, *e.msg);
+    }
+  } else {
+    e.fn();
+  }
+}
+
 void Simulator::pump(Time upto) {
   SAF_CHECK_MSG(upto >= now_, "pump: cannot advance backwards");
   start_if_needed();
@@ -251,21 +281,7 @@ void Simulator::pump(Time upto) {
     const Event& head = queue_.peek();
     if (head.time > upto || head.time > cfg_.horizon) break;
     Event e = queue_.pop();
-    now_ = e.time;
-    ++events_processed_;
-    if (tracer_.active()) {
-      tracer_.event_dispatch(e.time, e.seq);
-      tracer_.event_processed();
-    }
-    if (e.msg != nullptr) {
-      if (e.to == kBroadcastRecipient) {
-        deliver_all(*e.msg);
-      } else {
-        deliver(e.to, *e.msg);
-      }
-    } else {
-      e.fn();
-    }
+    dispatch(e);
   }
   now_ = upto;
 }
@@ -319,21 +335,7 @@ bool Simulator::run_until(const std::function<bool()>& stop) {
     }
     // Move out before dispatch: the handler may push into the queue.
     Event e = pop_next_event();
-    now_ = e.time;
-    ++events_processed_;
-    if (tracer_.active()) {
-      tracer_.event_dispatch(e.time, e.seq);
-      tracer_.event_processed();
-    }
-    if (e.msg != nullptr) {
-      if (e.to == kBroadcastRecipient) {
-        deliver_all(*e.msg);
-      } else {
-        deliver(e.to, *e.msg);
-      }
-    } else {
-      e.fn();
-    }
+    dispatch(e);
     if (stop && stop()) return true;
   }
   return false;

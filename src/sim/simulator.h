@@ -142,8 +142,22 @@ class Simulator {
   void schedule(Time at, std::function<void()> fn);
 
   /// Per-run arena that owns every protocol message (and any other
-  /// run-scoped pool object). Freed wholesale on destruction.
+  /// run-scoped pool object). Freed wholesale on destruction, or on a
+  /// successful recycle_arena().
   util::Arena& arena() { return arena_; }
+
+  /// Long-lived-runtime seam: resets the arena so its chunks serve the
+  /// next messages. Refuses (returns false, nothing freed) while a
+  /// queued event carries a message, or while a process holds arena
+  /// pointers across events (interned broadcasts, RB ack-mode
+  /// retransmission ledgers). Anything else a protocol keeps of a
+  /// delivered message must be a copy: the caller vouches for that
+  /// (see svc/server.cpp). Sim-only runs never call this.
+  bool recycle_arena();
+
+  /// Queued events that carry a message (unicast or aggregated
+  /// broadcast deliveries). O(1).
+  std::size_t pending_deliveries() const { return pending_deliveries_; }
 
   /// Installs (or clears, with nullptr) the delivery observer. May be
   /// set before or during a run; replaces any previous observer.
@@ -210,6 +224,9 @@ class Simulator {
   /// Pops the next event to dispatch: queue minimum, or the race
   /// chooser's pick among same-instant deliveries when one is installed.
   Event pop_next_event();
+  /// Runs an event just popped from the queue (delivery or closure),
+  /// advancing the clock to it.
+  void dispatch(Event& e);
   void crash(ProcessId pid);
   /// Counts completed sends; fires send-triggered crashes.
   void note_send(ProcessId sender) { note_sends(sender, 1); }
@@ -240,6 +257,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::size_t pending_deliveries_ = 0;  ///< queued events with msg set
   bool started_ = false;
   bool timed_out_ = false;
   std::chrono::steady_clock::time_point wall_start_{};

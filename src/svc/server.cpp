@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/kset_agreement.h"
@@ -67,14 +68,24 @@ constexpr Time kSnapRetryMs = 200;
 ///     snapshot — and always lands in record(): out-of-order decisions
 ///     park in decided_map_ until the prefix below them fills in.
 ///   * Phase traffic for instances the driver has not reached yet is
-///     buffered (arena-owned pointers, so parking them is free) and
-///     replayed into the core the moment it exists — the per-instance
-///     buffering that makes pipelining-by-decision safe under wire
-///     reordering (same design as core/repeated_kset, which proves it
-///     in-simulator).
+///     buffered as copies and replayed into the core the moment it
+///     exists — the per-instance buffering that makes pipelining-by-
+///     decision safe under wire reordering (same design as
+///     core/repeated_kset, which proves it in-simulator).
 ///   * A core is freed once the frontier passed its instance and its
 ///     main() returned, so memory follows the in-flight instances, not
 ///     the decided log.
+///
+/// Arena invariant: no arena pointer survives a pump. run_service_node
+/// recycles the simulator's arena after every pump, which holds because
+///   * the bridge encodes every remote send at once;
+///   * self-sends and injected deliveries dispatch within the same pump;
+///   * reliable broadcast keeps only (origin, seq) keys while acks are
+///     off, as they are here;
+///   * cores and future_ hold copies of the phase messages they keep.
+/// Simulator::recycle_arena refuses on its own while a delivery is
+/// queued or the engine holds pointers; what a protocol keeps is this
+/// class's side of the bargain.
 class ServiceProcess final : public sim::Process {
  public:
   /// Proposal source for instance m (the batching seam).
@@ -87,26 +98,39 @@ class ServiceProcess final : public sim::Process {
 
   ServiceProcess(ProcessId id, int n, int t, const fd::LeaderOracle& omega,
                  FoldFn fold, DecideFn on_decide, DemandFn has_demand,
-                 std::int64_t tainted_max)
+                 std::int64_t tainted_max, std::uint32_t incarnation)
       : Process(id, n, t),
         tainted_max_(tainted_max),
         omega_(omega),
         fold_(std::move(fold)),
         on_decide_(std::move(on_decide)),
-        has_demand_(std::move(has_demand)) {}
+        has_demand_(std::move(has_demand)) {
+    // Peers' RB dedup sets still hold an earlier life's (origin, seq)
+    // keys; a life starting again at seq 0 would see its decision
+    // broadcasts discarded as duplicates, neither delivered nor relayed.
+    seed_rb_seq(std::uint64_t{incarnation} << 32);
+  }
 
   void boot() override { spawn(driver()); }
 
   void on_message(const sim::Message& m) override {
-    const int inst = instance_of(m);
-    if (inst < 0) return;
+    const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m);
+    const auto* p2 =
+        p1 == nullptr ? dynamic_cast<const core::Phase2Msg*>(&m) : nullptr;
+    if (p1 == nullptr && p2 == nullptr) return;
+    const int inst = p1 != nullptr ? p1->instance : p2->instance;
     if (auto it = cores_.find(inst); it != cores_.end()) {
       it->second->on_message(m);
       return;
     }
     const int head = std::max(next_, frontier_);
     if (inst >= head && inst < head + kFutureWindow) {
-      future_[inst].push_back(&m);  // arena-owned: outlives the buffer
+      // A copy: the arena slot is reused after this pump.
+      if (p1 != nullptr) {
+        future_[inst].emplace_back(*p1);
+      } else {
+        future_[inst].emplace_back(*p2);
+      }
     }
     // Below the head with no core: the instance was decided (or adopted)
     // and its core freed — drop the straggler.
@@ -138,17 +162,11 @@ class ServiceProcess final : public sim::Process {
   int frontier() const { return frontier_; }
   const std::vector<std::int64_t>& log() const { return log_; }
   std::uint64_t locally_decided() const { return locally_decided_; }
+  /// KSetCores this life started.
+  std::uint64_t instances_run() const { return instances_run_; }
 
  private:
-  static int instance_of(const sim::Message& m) {
-    if (const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m)) {
-      return p1->instance;
-    }
-    if (const auto* p2 = dynamic_cast<const core::Phase2Msg*>(&m)) {
-      return p2->instance;
-    }
-    return -1;
-  }
+  using ParkedMsg = std::variant<core::Phase1Msg, core::Phase2Msg>;
 
   /// Task T1 of the pipeline: run instance m once everything below it
   /// is decided and someone wants it decided; skip instances that
@@ -170,9 +188,12 @@ class ServiceProcess final : public sim::Process {
                                                     fold_(m), m);
       core::KSetCore* c = owned.get();
       cores_.emplace(m, std::move(owned));
+      ++instances_run_;
       spawn(c->main());
       if (auto it = future_.find(m); it != future_.end()) {
-        for (const sim::Message* fm : it->second) c->on_message(*fm);
+        for (const ParkedMsg& pm : it->second) {
+          std::visit([c](const auto& msg) { c->on_message(msg); }, pm);
+        }
         future_.erase(it);
       }
       co_await until([this, m, c] { return frontier_ > m || c->decided(); });
@@ -232,8 +253,9 @@ class ServiceProcess final : public sim::Process {
   int frontier_ = 0;  ///< contiguous decided prefix length
   std::vector<std::int64_t> log_;
   std::map<int, std::int64_t> decided_map_;  ///< decided above frontier_
-  std::map<int, std::vector<const sim::Message*>> future_;
+  std::map<int, std::vector<ParkedMsg>> future_;
   std::uint64_t locally_decided_ = 0;
+  std::uint64_t instances_run_ = 0;
   std::uint64_t adopted_ = 0;
 };
 
@@ -386,7 +408,8 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
     } else {
       auto p = std::make_unique<ServiceProcess>(
           pid, cfg.n, cfg.t, omega, fold, on_decide,
-          [&pending] { return !pending.empty(); }, wal.tainted_max);
+          [&pending] { return !pending.empty(); }, wal.tainted_max,
+          wal.incarnation);
       proc = p.get();
       sim.add_process(std::move(p));
     }
@@ -508,6 +531,10 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
     }
     monitor.tick();
     sim.pump(now - start);
+    // The arena is per-wakeup scratch: nothing points into it once the
+    // pump returns (see ServiceProcess), so its chunks serve the next
+    // wakeup and server memory follows the in-flight instances.
+    sim.recycle_arena();
 
     // Snapshot catch-up trigger: the observed peer frontier (epoch
     // field of incoming datagrams) says the cluster has moved on.
@@ -558,6 +585,8 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   res.ok = true;
   res.frontier = static_cast<std::uint64_t>(proc->frontier());
   res.locally_decided = proc->locally_decided();
+  res.instances_run = proc->instances_run();
+  res.arena_reserved_bytes = sim.arena().bytes_reserved();
   res.log = proc->log();
   res.total_elapsed_ms = wall.now_ms() - start;
   res.final_suspected = monitor.suspected_now();
@@ -608,6 +637,8 @@ std::string server_result_json(const rt::NodeConfig& cfg,
   w.key("svc_proposals_received").value(res.proposals_received);
   w.key("svc_proposals_served").value(res.proposals_served);
   w.key("svc_batches").value(res.batches);
+  w.key("svc_instances_run").value(res.instances_run);
+  w.key("sim_arena_reserved_bytes").value(res.arena_reserved_bytes);
   w.key("svc_decisions").begin_array();
   for (std::int64_t v : res.log) w.value(v);
   w.end_array();

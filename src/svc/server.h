@@ -56,6 +56,10 @@ struct ServerResult {
   std::uint64_t proposals_received = 0;  ///< client submissions accepted
   std::uint64_t proposals_served = 0;    ///< replies sent after decisions
   std::uint64_t batches = 0;  ///< instances that carried >= 1 submission
+  std::uint64_t instances_run = 0;  ///< KSetCores this life started
+  /// Chunk capacity the embedded simulator's message arena reached (it
+  /// is recycled every wakeup, so this tracks one wakeup's traffic).
+  std::uint64_t arena_reserved_bytes = 0;
   std::uint64_t events_processed = 0;
   std::uint64_t heartbeats_sent = 0;
   Time total_elapsed_ms = 0;

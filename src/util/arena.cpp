@@ -2,9 +2,39 @@
 
 #include "util/check.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SAF_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SAF_ARENA_ASAN 1
+#endif
+#endif
+
+#ifdef SAF_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace saf::util {
 
 namespace {
+
+void poison(const void* p, std::size_t size) {
+#ifdef SAF_ARENA_ASAN
+  __asan_poison_memory_region(p, size);
+#else
+  (void)p;
+  (void)size;
+#endif
+}
+
+void unpoison(const void* p, std::size_t size) {
+#ifdef SAF_ARENA_ASAN
+  __asan_unpoison_memory_region(p, size);
+#else
+  (void)p;
+  (void)size;
+#endif
+}
 
 std::size_t align_up(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
@@ -25,6 +55,7 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
     if (at + size <= c.size) {
       c.used = at + size;
       bytes_allocated_ += size;
+      unpoison(c.data.get() + at, size);
       return c.data.get() + at;
     }
     ++active_;
@@ -42,12 +73,25 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
   return c.data.get() + at;
 }
 
-void Arena::reset() {
+Arena::~Arena() {
+  destroy_objects();
+  // Chunks go back to the heap unpoisoned.
+  for (const Chunk& c : chunks_) unpoison(c.data.get(), c.size);
+}
+
+void Arena::destroy_objects() {
   for (auto it = dtors_.rbegin(); it != dtors_.rend(); ++it) {
     it->fn(it->p);
   }
   dtors_.clear();
-  for (Chunk& c : chunks_) c.used = 0;
+}
+
+void Arena::reset() {
+  destroy_objects();
+  for (Chunk& c : chunks_) {
+    poison(c.data.get(), c.used);
+    c.used = 0;
+  }
   active_ = 0;
   bytes_allocated_ = 0;
 }

@@ -6,6 +6,11 @@
 // keeps the chunks for the next run, so a reset-and-rerun cycle reaches a
 // steady state with zero allocator traffic. Objects with non-trivial
 // destructors are tracked and destroyed in reverse creation order.
+//
+// Under AddressSanitizer, reset() poisons the bytes the chunks handed
+// out and allocate() unpoisons each block it returns, so a read through
+// a pointer kept across a reset is reported as a use-after-poison
+// until a later allocation hands that slot out again.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +24,12 @@ namespace saf::util {
 
 class Arena {
  public:
+  /// Capacity of one regular chunk (larger objects get a chunk of their
+  /// own size).
+  static constexpr std::size_t kChunkSize = 64 * 1024;
+
   Arena() = default;
-  ~Arena() { reset(); }
+  ~Arena();
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -61,7 +70,8 @@ class Arena {
     void (*fn)(void*);
   };
 
-  static constexpr std::size_t kChunkSize = 64 * 1024;
+  /// Runs the tracked destructors (reverse creation order).
+  void destroy_objects();
 
   std::vector<Chunk> chunks_;
   std::size_t active_ = 0;  ///< chunks_[active_] receives allocations

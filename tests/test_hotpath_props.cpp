@@ -1,8 +1,9 @@
-// Property and edge tests for the PR2 hot-path machinery the engine now
-// leans on: the calendar queue's 1024-instant window (bucket aliasing,
-// exact boundary, overflow heap, rewind), the per-run bump arena (chunk
-// growth, oversized blocks, reset-reuse, destructor order), and
-// broadcast_interned's one-instance-per-(process, type) contract.
+// Property and edge tests for the hot-path machinery the engine leans
+// on: the calendar queue's 1024-instant window (bucket aliasing, exact
+// boundary, overflow heap, rewind), the per-run bump arena (chunk
+// growth, oversized blocks, reset-reuse, destructor order, ASan
+// poisoning), broadcast_interned's one-instance-per-(process, type)
+// contract, and Simulator::recycle_arena's guards.
 //
 // The queue tests are differential: every scenario is drained fully and
 // compared against a stable sort on (time, seq) — the determinism
@@ -11,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -23,6 +26,17 @@
 #include "sim/simulator.h"
 #include "util/arena.h"
 #include "util/rng.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SAF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SAF_TEST_ASAN 1
+#endif
+#endif
+#ifdef SAF_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace saf::sim {
 namespace {
@@ -256,6 +270,24 @@ TEST(HotPathArena, AlignmentIsHonoredAfterOddSizes) {
   }
 }
 
+#ifdef SAF_TEST_ASAN
+TEST(HotPathArena, ResetPoisonsBlocksUntilTheyAreHandedOutAgain) {
+  // A pointer kept across reset() trips ASan until a later allocation
+  // hands its slot out again.
+  util::Arena a;
+  auto* p = static_cast<unsigned char*>(a.allocate(64, 8));
+  std::memset(p, 0x5A, 64);
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+  a.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 63));
+  auto* q = static_cast<unsigned char*>(a.allocate(64, 8));
+  ASSERT_EQ(q, p) << "reset must rewind to the same slot";
+  EXPECT_FALSE(__asan_address_is_poisoned(q));
+  EXPECT_FALSE(__asan_address_is_poisoned(q + 63));
+}
+#endif
+
 // --- broadcast_interned identity ---------------------------------------
 
 struct PingMsg final : Message {
@@ -330,6 +362,175 @@ TEST(HotPathIntern, InternedScheduleIsIdenticalAcrossRuns) {
   }
   EXPECT_EQ(first, second);
 }
+
+// --- arena recycling ---------------------------------------------------
+
+struct LoadMsg final : Message {
+  explicit LoadMsg(int v) : value(v) {}
+  std::string_view tag() const override { return "load"; }
+  int value;
+  char pad[48] = {};
+};
+
+/// Broadcasts one LoadMsg per global tick; keeps only a count.
+class Loader : public Process {
+ public:
+  using Process::Process;
+  ProtocolTask run() override { co_return; }
+  void on_tick() override { broadcast_msg(LoadMsg{++sent}); }
+  void on_message(const Message& m) override {
+    if (dynamic_cast<const LoadMsg*>(&m) != nullptr) ++received;
+  }
+  int sent = 0;
+  int received = 0;
+};
+
+SimConfig load_cfg(Time tick_period, Time horizon) {
+  SimConfig c;
+  c.n = 3;
+  c.t = 0;
+  c.seed = 5;
+  c.tick_period = tick_period;
+  c.horizon = horizon;
+  return c;
+}
+
+TEST(HotPathRecycle, RefusesWhileAFixedDelayDeliveryIsInFlight) {
+  Simulator sim(load_cfg(10, 100), CrashPlan{},
+                std::make_unique<FixedDelay>(1));
+  std::vector<Loader*> ps;
+  for (ProcessId i = 0; i < 3; ++i) {
+    ps.push_back(static_cast<Loader*>(
+        &sim.add_process(std::make_unique<Loader>(i, 3, 0))));
+  }
+  sim.pump(10);  // the tick at 10 broadcasts; deliveries land at 11
+  EXPECT_EQ(sim.pending_deliveries(), 9u);
+  const std::size_t used = sim.arena().bytes_allocated();
+  ASSERT_GT(used, 0u);
+  EXPECT_FALSE(sim.recycle_arena());
+  EXPECT_EQ(sim.arena().bytes_allocated(), used) << "a refusal frees nothing";
+
+  sim.pump(11);
+  EXPECT_EQ(sim.pending_deliveries(), 0u);
+  EXPECT_EQ(ps[0]->received, 3);
+  EXPECT_TRUE(sim.recycle_arena());
+  EXPECT_EQ(sim.arena().bytes_allocated(), 0u);
+}
+
+TEST(HotPathRecycle, PumpLoopWithRecyclingHoldsOneChunk) {
+  // Ticks every 2 ms broadcast; a 1 ms pump loop sees every delivery
+  // land on the odd instants, so a recycle succeeds there. The same run
+  // without recycling needs dozens of chunks.
+  constexpr Time kHorizon = 20'000;
+  std::size_t reserved[2] = {0, 0};
+  int received[2] = {0, 0};
+  for (const bool recycle : {false, true}) {
+    Simulator sim(load_cfg(2, kHorizon), CrashPlan{},
+                  std::make_unique<FixedDelay>(1));
+    std::vector<Loader*> ps;
+    for (ProcessId i = 0; i < 3; ++i) {
+      ps.push_back(static_cast<Loader*>(
+          &sim.add_process(std::make_unique<Loader>(i, 3, 0))));
+    }
+    int recycled = 0;
+    for (Time t = 1; t <= kHorizon; ++t) {
+      sim.pump(t);
+      if (recycle && sim.recycle_arena()) ++recycled;
+    }
+    if (recycle) {
+      EXPECT_EQ(recycled, static_cast<int>(kHorizon / 2));
+    }
+    reserved[recycle ? 1 : 0] = sim.arena().bytes_reserved();
+    received[recycle ? 1 : 0] = ps[2]->received;
+  }
+  EXPECT_EQ(received[0], received[1]) << "recycling must not change the run";
+  EXPECT_EQ(reserved[1], util::Arena::kChunkSize);
+  EXPECT_GT(reserved[0], 20 * util::Arena::kChunkSize);
+}
+
+TEST(HotPathRecycle, RefusesWhileAProcessHoldsInternedMessages) {
+  Simulator sim(ping_cfg(3), CrashPlan{}, std::make_unique<FixedDelay>(2));
+  const auto procs = run_ping_round(sim);
+  ASSERT_EQ(procs[1]->addresses.size(), 3u);
+  EXPECT_EQ(sim.pending_deliveries(), 0u);
+  EXPECT_FALSE(sim.recycle_arena())
+      << "p0's interned ping is reused by its next broadcast";
+}
+
+struct RbValueMsg final : Message {
+  explicit RbValueMsg(int v) : value(v) {}
+  std::string_view tag() const override { return "rb_value"; }
+  int value;
+};
+
+/// R-broadcasts one value at start (p0 only) with RB acks on.
+class AckedBroadcaster : public Process {
+ public:
+  using Process::Process;
+  ProtocolTask run() override {
+    if (id() == 0) rbroadcast_msg(RbValueMsg{1});
+    co_return;
+  }
+  void on_rdeliver(const Message& m) override {
+    (void)m;
+    ++delivered;
+  }
+  int delivered = 0;
+};
+
+TEST(HotPathRecycle, RefusesWhileTheRbAckLedgerHoldsAnEnvelope) {
+  // p2 is down from the start, so p0's envelope stays in its
+  // retransmission ledger (first retry at 40) after every live copy and
+  // ack has been dispatched.
+  CrashPlan plan;
+  plan.crash_at(2, 0);
+  SimConfig c = ping_cfg(4);
+  c.t = 1;
+  Simulator sim(c, plan, std::make_unique<FixedDelay>(1));
+  std::vector<AckedBroadcaster*> ps;
+  for (ProcessId i = 0; i < 3; ++i) {
+    ps.push_back(static_cast<AckedBroadcaster*>(
+        &sim.add_process(std::make_unique<AckedBroadcaster>(i, 3, 1))));
+    ps.back()->enable_rb_acks();
+  }
+  sim.pump(10);
+  EXPECT_EQ(ps[1]->delivered, 1);
+  EXPECT_EQ(sim.pending_deliveries(), 0u);
+  EXPECT_FALSE(sim.recycle_arena());
+}
+
+#ifdef SAF_TEST_ASAN
+/// Keeps a pointer to the last LoadMsg it received.
+class Keeper : public Loader {
+ public:
+  using Loader::Loader;
+  void on_message(const Message& m) override {
+    Loader::on_message(m);
+    if (const auto* lm = dynamic_cast<const LoadMsg*>(&m)) kept = lm;
+  }
+  const LoadMsg* kept = nullptr;
+};
+
+TEST(HotPathRecycleDeathTest, ReadThroughAPointerKeptAcrossARecycleIsReported) {
+  // The bug recycle_arena's contract forbids: a protocol keeping an
+  // arena pointer past the pump. ASan reports the read instead of
+  // letting it see whatever the next wakeup allocates there.
+  const auto keep_and_read = [] {
+    Simulator sim(load_cfg(10, 100), CrashPlan{},
+                  std::make_unique<FixedDelay>(1));
+    Keeper* k = nullptr;
+    for (ProcessId i = 0; i < 3; ++i) {
+      auto p = std::make_unique<Keeper>(i, 3, 0);
+      if (i == 0) k = p.get();
+      sim.add_process(std::move(p));
+    }
+    sim.pump(11);
+    if (!sim.recycle_arena() || k->kept == nullptr) std::abort();
+    std::printf("%d\n", k->kept->value);
+  };
+  EXPECT_DEATH(keep_and_read(), "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace saf::sim

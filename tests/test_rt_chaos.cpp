@@ -314,9 +314,40 @@ TEST(ClassifyRtRounds, AgreementBreakIsInModelOnlyWhenClean) {
   EXPECT_EQ(clean[0].verdict, Verdict::kViolationInModel);
   EXPECT_NE(clean[0].detail.find("agreement"), std::string::npos);
 
-  const std::vector<RtRoundVerdict> chaos =
+  // Kills are inside the recovery model: they explain no safety break.
+  const std::vector<RtRoundVerdict> killed =
       classify_rt_rounds(classify_cfg(1, true), res);
-  EXPECT_EQ(chaos[0].verdict, Verdict::kViolationExplained);
+  EXPECT_EQ(killed[0].verdict, Verdict::kViolationInModel);
+
+  // Nor does loss the link retransmits through (the nightly sweep's
+  // --rt-kills 1 --faults lossy30 grid point).
+  ClusterConfig lossy = classify_cfg(1, true);
+  lossy.chaos.faults = "lossy30";
+  EXPECT_EQ(classify_rt_rounds(lossy, res)[0].verdict,
+            Verdict::kViolationInModel);
+}
+
+TEST(ClassifyRtRounds, OnlyPayloadCorruptionExplainsASafetyBreak) {
+  ClusterResult res;
+  res.ok = true;
+  res.nodes = {make_node(0, {100}), make_node(1, {101}),
+               make_node(2, {100})};
+  ClusterConfig corrupt = classify_cfg(1, true);
+  corrupt.chaos.faults = "corrupt";
+  EXPECT_EQ(classify_rt_rounds(corrupt, res)[0].verdict,
+            Verdict::kViolationExplained);
+  // Inline grammar, no kills: the corruption alone explains it.
+  ClusterConfig inline_spec = classify_cfg(1, false);
+  inline_spec.chaos.faults = "corrupt=0.1";
+  EXPECT_EQ(classify_rt_rounds(inline_spec, res)[0].verdict,
+            Verdict::kViolationExplained);
+
+  // A never-proposed value is a validity break, explained the same way.
+  res.nodes = {make_node(0, {999}), make_node(1, {999}),
+               make_node(2, {999})};
+  const RtRoundVerdict v = classify_rt_rounds(corrupt, res)[0];
+  EXPECT_EQ(v.verdict, Verdict::kViolationExplained);
+  EXPECT_NE(v.detail.find("validity"), std::string::npos);
 }
 
 TEST(ClassifyRtRounds, NeverProposedValueIsAValidityBreak) {

@@ -215,6 +215,52 @@ TEST(ReliableBroadcast, TerminationDespiteSenderCrashMidBroadcast) {
   }
 }
 
+/// Stands in for a service node across a restart: each "life"
+/// R-broadcasts one value with its origin sequence started at
+/// `first_seq`, as a restarted node's fresh RB layer would.
+class RestartingOrigin : public Process {
+ public:
+  using Process::Process;
+  ProtocolTask run() override { co_await until([] { return false; }); }
+  void life(std::uint64_t first_seq, int value) {
+    seed_rb_seq(first_seq);
+    rbroadcast_msg(RPingMsg{value});
+  }
+};
+
+/// R-delivered values at p1 and p2 after two lives of origin p0 that
+/// start their sequences at `first0` and `first1`.
+std::vector<std::vector<int>> two_lives(std::uint64_t first0,
+                                        std::uint64_t first1) {
+  Simulator sim(cfg(3, 1), CrashPlan{}, std::make_unique<FixedDelay>(2));
+  auto* origin = static_cast<RestartingOrigin*>(
+      &sim.add_process(std::make_unique<RestartingOrigin>(0, 3, 1)));
+  std::vector<RbProcess*> peers;
+  for (ProcessId i = 1; i < 3; ++i) {
+    peers.push_back(static_cast<RbProcess*>(&sim.add_process(
+        std::make_unique<RbProcess>(i, 3, 1, /*broadcaster=*/false))));
+  }
+  sim.schedule(10, [origin, first0] { origin->life(first0, 7); });
+  sim.schedule(100, [origin, first1] { origin->life(first1, 8); });
+  sim.run();
+  return {peers[0]->delivered, peers[1]->delivered};
+}
+
+TEST(ReliableBroadcast, TwoLivesOfOneOriginAreBothDelivered) {
+  // Lives seeded apart (incarnation << 32, as the decision service does)
+  // are distinct (origin, seq) keys: both broadcasts reach every peer.
+  const auto seeded = two_lives(0, std::uint64_t{1} << 32);
+  for (const std::vector<int>& d : seeded) {
+    EXPECT_EQ(d, (std::vector<int>{7, 8}));
+  }
+  // A second life restarting at seq 0 reuses the first life's key, and
+  // the peers' dedup sets discard its different payload.
+  const auto reused = two_lives(0, 0);
+  for (const std::vector<int>& d : reused) {
+    EXPECT_EQ(d, (std::vector<int>{7}));
+  }
+}
+
 // --- Coroutine wait semantics ------------------------------------------
 
 class SleeperProcess : public Process {

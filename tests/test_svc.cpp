@@ -21,6 +21,7 @@
 #include "svc/server.h"
 #include "svc/wire.h"
 #include "sweep/bench_json.h"
+#include "util/arena.h"
 
 namespace {
 
@@ -244,7 +245,9 @@ TEST(SvcCluster, PipelinesAndServesClients) {
   EXPECT_EQ(clients.latencies_ms.size(), clients.replies);
 
   // Every node's result file reports a non-trivial decided frontier —
-  // the pipeline ran on all of them, not just a quorum.
+  // the pipeline ran on all of them, not just a quorum. The embedded
+  // simulator's arena is recycled every wakeup, so it stays within two
+  // chunks however many instances the node decided.
   for (const rt::ClusterNodeOutcome& node : res.nodes) {
     ASSERT_TRUE(node.launched);
     const sweep::FlatJson nj =
@@ -252,6 +255,10 @@ TEST(SvcCluster, PipelinesAndServesClients) {
     const auto it = nj.find("svc_frontier");
     ASSERT_NE(it, nj.end()) << "node " << node.id;
     EXPECT_GT(it->second, 0.0) << "node " << node.id;
+    EXPECT_GT(nj.at("svc_instances_run"), 0.0) << "node " << node.id;
+    EXPECT_LE(nj.at("sim_arena_reserved_bytes"),
+              2.0 * static_cast<double>(util::Arena::kChunkSize))
+        << "node " << node.id << " frontier " << it->second;
   }
 }
 
