@@ -1,7 +1,9 @@
 #include "rt/cluster.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,7 +14,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
+#include <string_view>
 
 #include "core/invariants.h"
 #include "sweep/bench_json.h"
@@ -66,6 +68,17 @@ NodeConfig node_config(const ClusterConfig& cfg, ProcessId id) {
     if (nc.fault_seed == 0) nc.fault_seed = 1;
   }
   return nc;
+}
+
+/// A pidfd for child `pid`, or -1 where the kernel (before Linux 5.3)
+/// or the headers have none.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
 }
 
 /// Extracts the integer value of `"t":` from a canonical trace line
@@ -204,7 +217,14 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   res.nodes.assign(static_cast<std::size_t>(cfg.n), {});
   for (ProcessId id = 0; id < cfg.n; ++id) res.nodes[id].id = id;
 
-  std::vector<std::pair<ProcessId, pid_t>> children;
+  // One pidfd per child (-1 where the kernel has none): the reap loop
+  // sleeps in ppoll(2) on them, so an exit ends the wait at once.
+  struct Child {
+    ProcessId id;
+    pid_t pid;
+    int pidfd;
+  };
+  std::vector<Child> children;
   const auto spawn = [&](ProcessId id) -> bool {
     const pid_t pid = ::fork();
     if (pid < 0) return false;
@@ -214,8 +234,20 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
       const NodeResult nres = run_node(nc);
       ::_exit(nres.ok ? 0 : 3);
     }
-    children.emplace_back(id, pid);
+    children.push_back({id, pid, open_pidfd(pid)});
     return true;
+  };
+  const auto forget = [&](std::size_t i) {
+    if (children[i].pidfd >= 0) ::close(children[i].pidfd);
+    children.erase(children.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const auto kill_child = [&](std::size_t i) {
+    ::kill(children[i].pid, SIGKILL);
+    ::waitpid(children[i].pid, nullptr, 0);
+    forget(i);
+  };
+  const auto kill_all = [&] {
+    while (!children.empty()) kill_child(children.size() - 1);
   };
 
   for (ProcessId id = cfg.crash; id < cfg.n; ++id) {
@@ -227,7 +259,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     ::unlink(cluster_node_wal_path(cfg, id).c_str());
     if (!spawn(id)) {
       res.detail = "fork failed";
-      for (auto& [cid, cpid] : children) ::kill(cpid, SIGKILL);
+      kill_all();
       return res;
     }
     res.nodes[id].launched = true;
@@ -235,7 +267,8 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
 
   // Chaos schedule: kills fire at wall offsets from this instant (after
   // the launch forks, so "150 ms in" means 150 ms into the actual run).
-  const auto launch = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto launch = Clock::now();
   std::vector<ChaosKill> kills = make_kill_schedule(cfg.chaos, cfg.n, cfg.crash);
   struct PendingRestart {
     ProcessId id;
@@ -246,26 +279,28 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   std::size_t next_kill = 0;
   const auto now_ms = [&]() -> Time {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - launch)
+               Clock::now() - launch)
         .count();
+  };
+  const auto at = [&](Time ms) {
+    return launch + std::chrono::milliseconds(ms);
   };
 
   // Reap with a wall deadline: per-round budget x rounds + slack for
   // fork/teardown, stretched for every scheduled restart cycle.
   const auto deadline =
-      launch + std::chrono::milliseconds(
-                   cfg.run_for_ms * cfg.rounds + 5000 +
-                   static_cast<Time>(kills.size()) *
-                       (cfg.chaos.restart_delay_ms + 3000));
+      at(cfg.run_for_ms * cfg.rounds + 5000 +
+         static_cast<Time>(kills.size()) *
+             (cfg.chaos.restart_delay_ms + 3000));
+  // Longest sleep while something is only observable by looking: the
+  // stop flag, or a child the kernel gave no pidfd.
+  constexpr auto kCheckEvery = std::chrono::milliseconds(5);
+  std::vector<pollfd> fds;
   bool all_ok = true;
   while (!children.empty() || !restarts.empty() ||
          next_kill < kills.size()) {
     if (cfg.stop != nullptr && cfg.stop->load()) {
-      for (auto& [cid, cpid] : children) {
-        ::kill(cpid, SIGKILL);
-        ::waitpid(cpid, nullptr, 0);
-      }
-      children.clear();
+      kill_all();
       res.interrupted = true;
       res.detail = "interrupted";
       res.ok = false;
@@ -280,11 +315,9 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
       const ChaosKill& k = kills[next_kill++];
       const auto it =
           std::find_if(children.begin(), children.end(),
-                       [&](const auto& c) { return c.first == k.victim; });
+                       [&](const Child& c) { return c.id == k.victim; });
       if (it == children.end()) continue;
-      ::kill(it->second, SIGKILL);
-      ::waitpid(it->second, nullptr, 0);
-      children.erase(it);
+      kill_child(static_cast<std::size_t>(it - children.begin()));
       ++res.nodes[k.victim].kills;
       res.chaos_events.push_back({k.victim, now, kNeverTime});
       restarts.push_back(
@@ -309,12 +342,12 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
 
     for (std::size_t i = 0; i < children.size();) {
       int status = 0;
-      const pid_t r = ::waitpid(children[i].second, &status, WNOHANG);
-      if (r == children[i].second) {
-        res.nodes[children[i].first].exited_ok =
+      if (::waitpid(children[i].pid, &status, WNOHANG) == children[i].pid) {
+        const ProcessId id = children[i].id;
+        forget(i);
+        res.nodes[id].exited_ok =
             WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        all_ok = all_ok && res.nodes[children[i].first].exited_ok;
-        children.erase(children.begin() + static_cast<std::ptrdiff_t>(i));
+        all_ok = all_ok && res.nodes[id].exited_ok;
       } else {
         ++i;
       }
@@ -323,20 +356,42 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
       // Remaining scheduled kills can never fire (all victims exited).
       break;
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (Clock::now() >= deadline) {
       std::ostringstream os;
       os << "wall budget exceeded; killed nodes:";
-      for (auto& [cid, cpid] : children) {
-        os << " " << cid;
-        ::kill(cpid, SIGKILL);
-        ::waitpid(cpid, nullptr, 0);
-      }
+      for (const Child& c : children) os << " " << c.id;
+      kill_all();
       res.detail = os.str();
       all_ok = false;
-      children.clear();
       break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    // Sleep until a child exits or the next kill, restart or deadline
+    // falls due, whichever is first.
+    auto wake = deadline;
+    if (next_kill < kills.size()) {
+      wake = std::min(wake, at(kills[next_kill].at_ms));
+    }
+    for (const PendingRestart& r : restarts) {
+      wake = std::min(wake, at(r.at_ms));
+    }
+    fds.clear();
+    bool blind = cfg.stop != nullptr;
+    for (const Child& c : children) {
+      if (c.pidfd >= 0) {
+        fds.push_back({c.pidfd, POLLIN, 0});
+      } else {
+        blind = true;
+      }
+    }
+    const auto start = Clock::now();
+    if (blind) wake = std::min(wake, start + kCheckEvery);
+    const auto wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::max(wake - start, Clock::duration::zero()));
+    timespec ts{};
+    ts.tv_sec = static_cast<time_t>(wait_ns.count() / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(wait_ns.count() % 1'000'000'000);
+    ::ppoll(fds.data(), fds.size(), &ts, nullptr);
   }
   res.ok = all_ok;
 
@@ -358,20 +413,36 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
           static_cast<std::uint64_t>(get("final_suspected_mask"));
       node.incarnation = static_cast<std::uint32_t>(get("incarnation"));
       node.gave_up = get("gave_up") != 0.0;
-      // Keep-alive rounds flatten as "rounds.<i>.<field>".
-      for (int r = 0; r < cfg.rounds; ++r) {
-        const std::string p = "rounds." + std::to_string(r) + ".";
-        if (j.find(p + "elapsed_ms") == j.end()) break;  // budget cut short
-        RoundResult rr;
-        rr.decided = get((p + "decided").c_str()) != 0.0;
-        rr.decision = static_cast<std::int64_t>(get((p + "decision").c_str()));
-        rr.decision_ms = static_cast<Time>(get((p + "decision_ms").c_str()));
-        rr.decision_round =
-            static_cast<int>(get((p + "decision_round").c_str()));
-        rr.start_ms = static_cast<Time>(get((p + "start_ms").c_str()));
-        rr.elapsed_ms = static_cast<Time>(get((p + "elapsed_ms").c_str()));
-        node.rounds.push_back(rr);
-      }
+      // Keep-alive rounds flatten as "rounds.<i>.<field>": one walk
+      // slots them by index, and the rounds kept are those before the
+      // first without elapsed_ms (a budget cut short).
+      std::vector<RoundResult> rounds(
+          static_cast<std::size_t>(std::max(0, cfg.rounds)),
+          RoundResult{false, 0, 0, 0, 0, 0});
+      std::vector<bool> ended(rounds.size(), false);
+      sweep::for_each_element(
+          j, "rounds.",
+          [&](std::size_t r, std::string_view field, double v) {
+            if (r >= rounds.size()) return;
+            RoundResult& rr = rounds[r];
+            if (field == "decided") {
+              rr.decided = v != 0.0;
+            } else if (field == "decision") {
+              rr.decision = static_cast<std::int64_t>(v);
+            } else if (field == "decision_ms") {
+              rr.decision_ms = static_cast<Time>(v);
+            } else if (field == "decision_round") {
+              rr.decision_round = static_cast<int>(v);
+            } else if (field == "start_ms") {
+              rr.start_ms = static_cast<Time>(v);
+            } else if (field == "elapsed_ms") {
+              rr.elapsed_ms = static_cast<Time>(v);
+              ended[r] = true;
+            }
+          });
+      rounds.resize(static_cast<std::size_t>(
+          std::find(ended.begin(), ended.end(), false) - ended.begin()));
+      node.rounds = std::move(rounds);
     } catch (const std::exception& e) {
       res.ok = false;
       if (res.detail.empty()) {

@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -258,6 +259,28 @@ class ServiceProcess final : public sim::Process {
   std::uint64_t instances_run_ = 0;
   std::uint64_t adopted_ = 0;
 };
+
+/// The scalar elements 0, 1, ... of the flattened array `prefix` up to
+/// the first missing one, gathered in one walk of its key range.
+std::vector<double> leading_elements(const sweep::FlatJson& j,
+                                     std::string_view prefix) {
+  std::vector<double> values;
+  std::vector<bool> present;
+  sweep::for_each_element(
+      j, prefix, [&](std::size_t i, std::string_view field, double v) {
+        // An index past the key count cannot extend the leading run.
+        if (!field.empty() || i >= j.size()) return;
+        if (i >= values.size()) {
+          values.resize(i + 1);
+          present.resize(i + 1);
+        }
+        values[i] = v;
+        present[i] = true;
+      });
+  values.resize(static_cast<std::size_t>(
+      std::find(present.begin(), present.end(), false) - present.begin()));
+  return values;
+}
 
 }  // namespace
 
@@ -705,23 +728,23 @@ void check_service_contract(const rt::ClusterConfig& cfg,
     any_demand = any_demand || get("svc_proposals_received") > 0;
     const auto frontier = static_cast<std::uint64_t>(get("svc_frontier"));
     max_frontier = std::max(max_frontier, frontier);
+    const std::vector<double> log = leading_elements(j, "svc_decisions.");
     for (std::uint64_t i = 0; i < frontier; ++i) {
-      const auto it = j.find("svc_decisions." + std::to_string(i));
-      if (it == j.end()) {
+      if (i == log.size()) {
         violation("svc prefix: node " + std::to_string(node.id) +
                   " frontier " + std::to_string(frontier) +
                   " has a hole at instance " + std::to_string(i));
         break;
       }
-      decided[i].insert(static_cast<std::int64_t>(it->second));
+      decided[i].insert(static_cast<std::int64_t>(log[i]));
     }
-    for (std::uint64_t i = 0;; ++i) {
-      const auto ii =
-          j.find("svc_proposal_instances." + std::to_string(i));
-      const auto vv = j.find("svc_proposal_values." + std::to_string(i));
-      if (ii == j.end() || vv == j.end()) break;
-      proposed[static_cast<std::uint64_t>(ii->second)].insert(
-          static_cast<std::int64_t>(vv->second));
+    const std::vector<double> insts =
+        leading_elements(j, "svc_proposal_instances.");
+    const std::vector<double> vals =
+        leading_elements(j, "svc_proposal_values.");
+    for (std::size_t i = 0; i < std::min(insts.size(), vals.size()); ++i) {
+      proposed[static_cast<std::uint64_t>(insts[i])].insert(
+          static_cast<std::int64_t>(vals[i]));
     }
   }
 

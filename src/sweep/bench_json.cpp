@@ -1,6 +1,6 @@
 #include "sweep/bench_json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -118,57 +118,71 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 
 namespace {
 
-/// Recursive-descent parser that records only numeric leaves.
+/// Recursive-descent parser that records only numeric leaves. The
+/// dotted path of the value being parsed lives in one buffer that each
+/// object key or array index extends and then truncates, so a key costs
+/// one string copy: the map node's.
 class FlatParser {
  public:
-  explicit FlatParser(const std::string& text) : s_(text) {}
+  explicit FlatParser(std::string_view text) : s_(text) {}
 
   FlatJson parse() {
     skip_ws();
-    parse_value("");
+    parse_value();
     skip_ws();
     if (at_ != s_.size()) fail("trailing characters");
     return std::move(out_);
   }
 
  private:
-  void parse_value(const std::string& path) {
+  void parse_value() {
     skip_ws();
     if (at_ >= s_.size()) fail("unexpected end of input");
     const char c = s_[at_];
     if (c == '{') {
-      parse_object(path);
+      parse_object();
     } else if (c == '[') {
-      parse_array(path);
+      parse_array();
     } else if (c == '"') {
-      parse_string();  // discarded
+      parse_string(nullptr);  // discarded
     } else if (c == 't') {
       expect("true");
-      if (!path.empty()) out_[path] = 1;
+      record(1);
     } else if (c == 'f') {
       expect("false");
-      if (!path.empty()) out_[path] = 0;
+      record(0);
     } else if (c == 'n') {
       expect("null");
     } else {
-      parse_number(path);
+      parse_number();
     }
   }
 
-  void parse_object(const std::string& path) {
+  /// An object's fields mostly sort in document order, so each key is
+  /// tried right after the previous one before a full descent.
+  void record(double v) {
+    if (path_.empty()) return;
+    last_ = out_.insert_or_assign(
+        last_ == out_.end() ? last_ : std::next(last_), path_, v);
+  }
+
+  void parse_object() {
     ++at_;  // '{'
     skip_ws();
     if (peek() == '}') {
       ++at_;
       return;
     }
+    const std::size_t base = path_.size();
     for (;;) {
       skip_ws();
-      const std::string k = parse_string();
+      if (base != 0) path_ += '.';
+      parse_string(&path_);
       skip_ws();
       if (peek() != ':') fail("expected ':'");
       ++at_;
-      parse_value(path.empty() ? k : path + "." + k);
+      parse_value();
+      path_.resize(base);
       skip_ws();
       if (peek() == ',') {
         ++at_;
@@ -182,15 +196,21 @@ class FlatParser {
     }
   }
 
-  void parse_array(const std::string& path) {
+  void parse_array() {
     ++at_;  // '['
     skip_ws();
     if (peek() == ']') {
       ++at_;
       return;
     }
+    const std::size_t base = path_.size();
     for (std::size_t i = 0;; ++i) {
-      parse_value(path + "." + std::to_string(i));
+      char digits[24];
+      const auto conv = std::to_chars(digits, digits + sizeof digits, i);
+      path_ += '.';
+      path_.append(digits, conv.ptr);
+      parse_value();
+      path_.resize(base);
       skip_ws();
       if (peek() == ',') {
         ++at_;
@@ -204,35 +224,46 @@ class FlatParser {
     }
   }
 
-  std::string parse_string() {
+  /// Consumes a string token, appending its unescaped text to `out`
+  /// when given.
+  void parse_string(std::string* out) {
     if (peek() != '"') fail("expected string");
     ++at_;
-    std::string out;
     while (at_ < s_.size() && s_[at_] != '"') {
       if (s_[at_] == '\\' && at_ + 1 < s_.size()) ++at_;
-      out += s_[at_++];
+      if (out != nullptr) *out += s_[at_];
+      ++at_;
     }
     if (at_ >= s_.size()) fail("unterminated string");
     ++at_;
-    return out;
   }
 
-  void parse_number(const std::string& path) {
+  /// A number token is a run of sign, digit, '.', 'e' and 'E'
+  /// characters, and all of it must convert: "1.2.3" or "5-" is
+  /// malformed, not a prefix to keep.
+  void parse_number() {
     const std::size_t start = at_;
-    while (at_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[at_])) ||
-            s_[at_] == '-' || s_[at_] == '+' || s_[at_] == '.' ||
-            s_[at_] == 'e' || s_[at_] == 'E')) {
+    while (at_ < s_.size() && ((s_[at_] >= '0' && s_[at_] <= '9') ||
+                               s_[at_] == '-' || s_[at_] == '+' ||
+                               s_[at_] == '.' || s_[at_] == 'e' ||
+                               s_[at_] == 'E')) {
       ++at_;
     }
     if (at_ == start) fail("expected a value");
-    const std::string tok = s_.substr(start, at_ - start);
-    try {
-      const double v = std::stod(tok);
-      if (!path.empty()) out_[path] = v;
-    } catch (const std::exception&) {
-      fail("bad number '" + tok + "'");
+    const char* first = s_.data() + start;
+    const char* last = s_.data() + at_;
+    // from_chars takes no leading '+'; a sign after it stays an error.
+    if (*first == '+' && last - first > 1 && first[1] != '-' &&
+        first[1] != '+') {
+      ++first;
     }
+    double v = 0;
+    const auto conv = std::from_chars(first, last, v);
+    if (conv.ec != std::errc() || conv.ptr != last) {
+      fail("bad number '" + std::string(s_.substr(start, at_ - start)) +
+           "'");
+    }
+    record(v);
   }
 
   void expect(std::string_view word) {
@@ -243,9 +274,11 @@ class FlatParser {
   }
 
   char peek() const { return at_ < s_.size() ? s_[at_] : '\0'; }
+  /// std::isspace's set in the "C" locale, without its per-character
+  /// locale lookup: result files are mostly indentation.
   void skip_ws() {
     while (at_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[at_]))) {
+           (s_[at_] == ' ' || (s_[at_] >= '\t' && s_[at_] <= '\r'))) {
       ++at_;
     }
   }
@@ -254,9 +287,11 @@ class FlatParser {
                              std::to_string(at_));
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t at_ = 0;
+  std::string path_;  ///< dotted path of the value being parsed
   FlatJson out_;
+  FlatJson::iterator last_ = out_.end();  ///< the latest key recorded
 };
 
 bool ends_with(std::string_view s, std::string_view suffix) {
@@ -275,11 +310,16 @@ FlatJson parse_json_numbers(const std::string& text) {
 }
 
 FlatJson load_json_numbers(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_json_numbers(ss.str());
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("cannot size " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+    throw std::runtime_error("cannot read " + path);
+  }
+  return parse_json_numbers(text);
 }
 
 void write_file(const std::string& path, const std::string& text) {

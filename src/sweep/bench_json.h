@@ -9,6 +9,7 @@
 // regressions beyond a tolerance. Improvements never fail.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,6 +52,34 @@ using FlatJson = std::map<std::string, double>;
 FlatJson parse_json_numbers(const std::string& text);
 /// Reads and flattens a JSON file; throws on I/O or parse failure.
 FlatJson load_json_numbers(const std::string& path);
+
+/// Visits the elements of the flattened array `prefix` (which ends in
+/// '.', e.g. "rounds.") in one walk of its key range:
+/// `visit(index, field, value)` per key "<prefix><index>[.<field>]",
+/// with `field` empty for a scalar element. Keys arrive in map order,
+/// so index 10 comes before index 2; callers that need index order
+/// slot the values by `index`. Keys whose next segment is not an
+/// index are skipped.
+template <typename Visit>
+void for_each_element(const FlatJson& j, std::string_view prefix,
+                      Visit&& visit) {
+  for (auto it = j.lower_bound(std::string(prefix));
+       it != j.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    const char* first = it->first.data() + prefix.size();
+    const char* last = it->first.data() + it->first.size();
+    std::size_t index = 0;
+    const auto conv = std::from_chars(first, last, index);
+    if (conv.ec != std::errc()) continue;
+    std::string_view field(conv.ptr,
+                           static_cast<std::size_t>(last - conv.ptr));
+    if (!field.empty()) {
+      if (field.front() != '.') continue;
+      field.remove_prefix(1);
+    }
+    visit(index, field, it->second);
+  }
+}
 
 /// Writes `text` to `path` (atomically enough for our purposes).
 void write_file(const std::string& path, const std::string& text);

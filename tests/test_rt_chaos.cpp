@@ -8,20 +8,26 @@
 // the remaining rounds with zero in-model violations; an rt sweep
 // checkpoint survives an interrupt and resumes to identical aggregates;
 // and a SIGTERM against a live rt_cluster subprocess exits 130 with
-// every child reaped.
+// every child reaped. The launcher itself is pinned with stand-in
+// children: it returns as soon as they exit, fires kills on their
+// millisecond and collects rounds in index order.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -493,6 +499,113 @@ TEST(LiveChaos, KilledNodeRecoversRejoinsAndDecides) {
   }
   EXPECT_GE(victim_decides, 1)
       << "merged trace must show the victim deciding";
+}
+
+// --- launcher wait and result collection ------------------------------
+
+/// A three-node config whose children run `runner` instead of a node.
+ClusterConfig runner_cfg(const char* stem,
+                         std::function<int(const NodeConfig&)> runner) {
+  ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.t = 1;
+  cfg.k = 1;
+  cfg.out_dir = temp_path(stem);
+  cfg.node_runner = std::move(runner);
+  return cfg;
+}
+
+TEST(RunCluster, ReturnsAsSoonAsTheNodesExit) {
+  // 31 ms is off a 5 ms polling grid, which would wake ~4 ms late.
+  const ClusterConfig cfg = runner_cfg("exit", [](const NodeConfig&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(31));
+    return 0;
+  });
+  std::vector<double> over_ms;
+  for (int i = 0; i < 5; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const ClusterResult res = run_cluster(cfg);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    for (ProcessId id = 0; id < cfg.n; ++id) {
+      EXPECT_TRUE(res.nodes[static_cast<std::size_t>(id)].exited_ok) << id;
+    }
+    over_ms.push_back(took.count() - 31.0);
+  }
+  std::sort(over_ms.begin(), over_ms.end());
+  EXPECT_LT(over_ms[2], 2.0) << "median wall time past the nodes' 31 ms";
+}
+
+TEST(RunCluster, ChaosKillsFireOnSchedule) {
+  ClusterConfig cfg = runner_cfg("kills", [](const NodeConfig&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    return 0;
+  });
+  cfg.chaos.kills = 3;
+  cfg.chaos.window_start_ms = 50;
+  cfg.chaos.window_span_ms = 240;
+  cfg.chaos.restart_delay_ms = 5;
+  cfg.chaos.seed = 3;
+  const std::vector<ChaosKill> plan =
+      make_kill_schedule(cfg.chaos, cfg.n, cfg.crash);
+  // Every kill finds its victim up: none falls in a restart gap.
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    for (std::size_t p = 0; p < i; ++p) {
+      ASSERT_TRUE(plan[p].victim != plan[i].victim ||
+                  plan[i].at_ms > plan[p].at_ms + 20)
+          << "schedule kills node " << plan[i].victim << " while it restarts";
+    }
+  }
+
+  const ClusterResult res = run_cluster(cfg);
+  ASSERT_EQ(res.chaos_events.size(), plan.size()) << res.detail;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(res.chaos_events[i].victim, plan[i].victim) << i;
+    EXPECT_GE(res.chaos_events[i].killed_at_ms, plan[i].at_ms) << i;
+    EXPECT_LE(res.chaos_events[i].killed_at_ms, plan[i].at_ms + 1) << i;
+    EXPECT_NE(res.chaos_events[i].restarted_at_ms, kNeverTime) << i;
+  }
+}
+
+TEST(RunCluster, RoundsAreCollectedInIndexOrderUpToTheFirstCutShort) {
+  // Twelve rounds, so "rounds.10.*" sorts before "rounds.2.*"; node 1's
+  // round 7 has no elapsed_ms, which ends its collection there.
+  ClusterConfig cfg = runner_cfg("rounds", [](const NodeConfig& nc) {
+    std::ofstream out(nc.result_path);
+    out << "{\"ok\": true, \"decided\": true, \"rounds\": [";
+    for (int r = 0; r < 12; ++r) {
+      out << (r > 0 ? ", " : "") << "{\"decided\": true, \"decision\": "
+          << 1000 + r << ", \"decision_ms\": " << r + 1
+          << ", \"decision_round\": 2, \"start_ms\": " << 10 * r;
+      if (nc.id != 1 || r != 7) out << ", \"elapsed_ms\": 4";
+      out << "}";
+    }
+    out << "]}\n";
+    return out ? 0 : 1;
+  });
+  cfg.rounds = 12;
+  const ClusterResult res = run_cluster(cfg);
+  ASSERT_TRUE(res.ok) << res.detail;
+
+  for (const ProcessId id : {0, 2}) {
+    const std::vector<RoundResult>& rounds =
+        res.nodes[static_cast<std::size_t>(id)].rounds;
+    ASSERT_EQ(rounds.size(), 12u) << id;
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      const auto ri = static_cast<std::int64_t>(r);
+      EXPECT_TRUE(rounds[r].decided) << r;
+      EXPECT_EQ(rounds[r].decision, 1000 + ri) << r;
+      EXPECT_EQ(rounds[r].decision_ms, ri + 1) << r;
+      EXPECT_EQ(rounds[r].decision_round, 2) << r;
+      EXPECT_EQ(rounds[r].start_ms, 10 * ri) << r;
+      EXPECT_EQ(rounds[r].elapsed_ms, 4) << r;
+    }
+  }
+  const std::vector<RoundResult>& cut = res.nodes[1].rounds;
+  ASSERT_EQ(cut.size(), 7u) << "collection stops at the round cut short";
+  for (std::size_t r = 0; r < cut.size(); ++r) {
+    EXPECT_EQ(cut[r].decision, 1000 + static_cast<std::int64_t>(r)) << r;
+  }
 }
 
 // --- sweep checkpoint/resume ------------------------------------------

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/explorer.h"
@@ -215,6 +217,65 @@ TEST(BenchJson, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_json_numbers("{\"a\": }"), std::runtime_error);
   EXPECT_THROW(parse_json_numbers("{\"a\": 1,"), std::runtime_error);
   EXPECT_THROW(parse_json_numbers("{\"a\": 1} trailing"), std::runtime_error);
+}
+
+TEST(BenchJson, NumberTokensMustConvertInFull) {
+  // A token that converts only in part is malformed, not its prefix.
+  EXPECT_THROW(parse_json_numbers("{\"a\": 1.2.3}"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": 5-}"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": 1e}"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": +-5}"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": -}"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": 1e999}"), std::runtime_error);
+
+  // The accepted forms: signs, digits, '.', exponents, literals and
+  // escaped strings.
+  const FlatJson flat = parse_json_numbers(
+      "{\"neg\": -12, \"pos\": +3.5, \"exp\": 2.5e3, \"EXP\": -1E-2,"
+      " \"frac\": .5, \"t\": true, \"f\": false, \"n\": null,"
+      " \"s\": \"a\\\"b\", \"k\\\"q\": 7, \"arr\": [0, [1]]}");
+  EXPECT_DOUBLE_EQ(flat.at("neg"), -12);
+  EXPECT_DOUBLE_EQ(flat.at("pos"), 3.5);
+  EXPECT_DOUBLE_EQ(flat.at("exp"), 2500);
+  EXPECT_DOUBLE_EQ(flat.at("EXP"), -0.01);
+  EXPECT_DOUBLE_EQ(flat.at("frac"), 0.5);
+  EXPECT_DOUBLE_EQ(flat.at("t"), 1);
+  EXPECT_DOUBLE_EQ(flat.at("f"), 0);
+  EXPECT_EQ(flat.count("n"), 0u);
+  EXPECT_EQ(flat.count("s"), 0u);
+  EXPECT_DOUBLE_EQ(flat.at("k\"q"), 7);
+  EXPECT_DOUBLE_EQ(flat.at("arr.0"), 0);
+  EXPECT_DOUBLE_EQ(flat.at("arr.1.0"), 1);
+  EXPECT_EQ(flat.size(), 10u);
+}
+
+TEST(BenchJson, ElementWalkVisitsEachKeyOnceWithItsIndex) {
+  const FlatJson flat = parse_json_numbers(
+      "{\"r\": [{\"x\": 0}, {\"x\": 1}, {\"x\": 2}, {\"x\": 3},"
+      " {\"x\": 4}, {\"x\": 5}, {\"x\": 6}, {\"x\": 7}, {\"x\": 8},"
+      " {\"x\": 9}, {\"x\": 10, \"y\": 1}],"
+      " \"r_other\": [5], \"rx\": 1, \"s\": [4, 5]}");
+  std::vector<std::pair<std::size_t, std::string>> seen;
+  for_each_element(flat, "r.",
+                   [&](std::size_t i, std::string_view field, double v) {
+                     EXPECT_DOUBLE_EQ(v, field == "y" ? 1.0 : double(i));
+                     seen.emplace_back(i, std::string(field));
+                   });
+  ASSERT_EQ(seen.size(), 12u);
+  // Map order: "r.10.*" sorts between "r.1.*" and "r.2.*".
+  EXPECT_EQ(seen[1].first, 1u);
+  EXPECT_EQ(seen[2], (std::pair<std::size_t, std::string>{10, "x"}));
+  EXPECT_EQ(seen[3], (std::pair<std::size_t, std::string>{10, "y"}));
+  EXPECT_EQ(seen[4].first, 2u);
+
+  std::vector<double> scalars;
+  for_each_element(flat, "s.",
+                   [&](std::size_t i, std::string_view field, double v) {
+                     EXPECT_TRUE(field.empty());
+                     EXPECT_EQ(i, scalars.size());
+                     scalars.push_back(v);
+                   });
+  EXPECT_EQ(scalars, (std::vector<double>{4, 5}));
 }
 
 TEST(BenchJson, RegressionGateFailsOnThroughputDropOnly) {
