@@ -18,14 +18,13 @@
 // Like bench_rt_*, this is deliberately not a google-benchmark binary
 // (one "iteration" is an entire exhaustive search); CI's
 // --benchmark_list_tests sweep over build/bench skips it by name.
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "check/dfs.h"
 #include "check/protocols.h"
 #include "sweep/bench_json.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -34,32 +33,6 @@ using saf::check::DfsOptions;
 using saf::check::DfsReport;
 using saf::check::explore_interleavings;
 using saf::check::Protocol;
-
-void print_usage(std::ostream& os) {
-  os << "usage: bench_dfs [--protocol NAME] [--depth D] [--budget-ms MS]\n"
-        "                 [--max-reach-depth D] [--out FILE]\n"
-        "                 [--baseline FILE] [--tolerance F] [--help]\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "bench_dfs: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "bench_dfs: " << flag << " expects an integer >= " << lo
-              << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
 
 DfsOptions race_opt(int depth, bool reduced) {
   DfsOptions opt;
@@ -97,57 +70,17 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_dfs.json";
   std::string baseline_path;
   double tolerance = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_dfs: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--protocol") {
-      if ((v = value("--protocol")) == nullptr) return usage();
-      protocol = v;
-    } else if (arg == "--depth") {
-      if ((v = value("--depth")) == nullptr ||
-          !parse_int("--depth", v, 1, &depth)) {
-        return usage();
-      }
-    } else if (arg == "--budget-ms") {
-      if ((v = value("--budget-ms")) == nullptr ||
-          !parse_int("--budget-ms", v, 1, &budget_ms)) {
-        return usage();
-      }
-    } else if (arg == "--max-reach-depth") {
-      if ((v = value("--max-reach-depth")) == nullptr ||
-          !parse_int("--max-reach-depth", v, 1, &max_reach_depth)) {
-        return usage();
-      }
-    } else if (arg == "--out") {
-      if ((v = value("--out")) == nullptr) return usage();
-      out_path = v;
-    } else if (arg == "--baseline") {
-      if ((v = value("--baseline")) == nullptr) return usage();
-      baseline_path = v;
-    } else if (arg == "--tolerance") {
-      if ((v = value("--tolerance")) == nullptr) return usage();
-      char* end = nullptr;
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || tolerance < 0) {
-        return usage("--tolerance expects a non-negative number");
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "bench_dfs: unknown flag " << arg << "\n";
-      return usage();
-    }
-  }
+  saf::util::Flags flags("bench_dfs");
+  flags.text("--protocol", "NAME", &protocol)
+      .integer("--depth", "D", &depth, 1)
+      .integer("--budget-ms", "MS", &budget_ms, 1)
+      .integer("--max-reach-depth", "D", &max_reach_depth, 1)
+      .text("--out", "FILE", &out_path)
+      .text("--baseline", "FILE", &baseline_path)
+      .real("--tolerance", "F", &tolerance, 0);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
   const Protocol* p = saf::check::find_protocol(protocol);
-  if (p == nullptr) return usage("unknown protocol '" + protocol + "'");
+  if (p == nullptr) return flags.fail("unknown protocol '" + protocol + "'");
 
   // Equal depth: the headline states-explored comparison.
   const DfsReport brute = explore_interleavings(*p, {}, race_opt(depth, false));

@@ -12,46 +12,19 @@
 // at the build root (not build/bench, which CI sweeps with
 // --benchmark_list_tests).
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "rt/cluster.h"
 #include "sweep/bench_json.h"
+#include "util/flags.h"
 
 namespace {
 
 using saf::rt::ClusterConfig;
 using saf::rt::ClusterResult;
-
-void print_usage(std::ostream& os) {
-  os << "usage: bench_rt_latency [--rounds R] [--n N] [--t T] [--k K]\n"
-        "                        [--crash C] [--base-port P] [--out FILE]\n"
-        "                        [--help]\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "bench_rt_latency: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "bench_rt_latency: " << flag << " expects an integer >= "
-              << lo << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -70,53 +43,17 @@ int main(int argc, char** argv) {
   cfg.out_dir = "bench_rt_out";
   int rounds = 10;
   std::string out_path = "BENCH_rt.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_rt_latency: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--rounds") {
-      if ((v = value("--rounds")) == nullptr ||
-          !parse_int("--rounds", v, 1, &rounds)) {
-        return usage();
-      }
-    } else if (arg == "--n") {
-      if ((v = value("--n")) == nullptr || !parse_int("--n", v, 2, &cfg.n))
-        return usage();
-    } else if (arg == "--t") {
-      if ((v = value("--t")) == nullptr || !parse_int("--t", v, 1, &cfg.t))
-        return usage();
-    } else if (arg == "--k") {
-      if ((v = value("--k")) == nullptr || !parse_int("--k", v, 1, &cfg.k))
-        return usage();
-    } else if (arg == "--crash") {
-      if ((v = value("--crash")) == nullptr ||
-          !parse_int("--crash", v, 0, &cfg.crash)) {
-        return usage();
-      }
-    } else if (arg == "--base-port") {
-      if ((v = value("--base-port")) == nullptr ||
-          !parse_int("--base-port", v, 1024, &cfg.base_port)) {
-        return usage();
-      }
-    } else if (arg == "--out") {
-      if ((v = value("--out")) == nullptr) return usage();
-      out_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "bench_rt_latency: unknown flag " << arg << "\n";
-      return usage();
-    }
-  }
-  if (cfg.t >= cfg.n) return usage("--t must be < --n");
-  if (cfg.crash > cfg.t) return usage("--crash must be <= --t");
+  saf::util::Flags flags("bench_rt_latency");
+  flags.integer("--rounds", "R", &rounds, 1)
+      .integer("--n", "N", &cfg.n, 2)
+      .integer("--t", "T", &cfg.t, 1)
+      .integer("--k", "K", &cfg.k, 1)
+      .integer("--crash", "C", &cfg.crash, 0)
+      .integer("--base-port", "P", &cfg.base_port, 1024)
+      .text("--out", "FILE", &out_path);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (cfg.t >= cfg.n) return flags.fail("--t must be < --n");
+  if (cfg.crash > cfg.t) return flags.fail("--crash must be <= --t");
 
   std::vector<double> latencies_ms;
   std::uint64_t decisions = 0;

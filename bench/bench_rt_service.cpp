@@ -32,9 +32,7 @@
 // and is not a google-benchmark target.
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -46,41 +44,13 @@
 #include "svc/client.h"
 #include "svc/server.h"
 #include "sweep/bench_json.h"
+#include "util/flags.h"
 
 namespace {
 
 using saf::rt::ClusterConfig;
 using saf::rt::ClusterResult;
 using saf::svc::ClientTierConfig;
-
-void print_usage(std::ostream& os) {
-  os << "usage: bench_rt_service [--n N] [--t T] [--k K] [--clients C]\n"
-        "                        [--total-slots S] [--churn-ms MS]\n"
-        "                        [--resubmit-ms MS] [--run-for-ms MS]\n"
-        "                        [--base-port P] [--seed S] [--out FILE]\n"
-        "                        [--baseline FILE] [--tolerance F]\n"
-        "                        [--chaos on|off] [--help]\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "bench_rt_service: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "bench_rt_service: " << flag << " expects an integer >= "
-              << lo << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
 
 struct Measured {
   bool contract_ok = false;
@@ -193,95 +163,27 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_rt.json";
   std::string baseline_path;
   double tolerance = 0.25;
-  bool chaos_pass = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_rt_service: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--n") {
-      if ((v = value("--n")) == nullptr || !parse_int("--n", v, 2, &cfg.n))
-        return usage();
-    } else if (arg == "--t") {
-      if ((v = value("--t")) == nullptr || !parse_int("--t", v, 1, &cfg.t))
-        return usage();
-    } else if (arg == "--k") {
-      if ((v = value("--k")) == nullptr || !parse_int("--k", v, 1, &cfg.k))
-        return usage();
-    } else if (arg == "--clients") {
-      if ((v = value("--clients")) == nullptr ||
-          !parse_int("--clients", v, 1, &tier.clients)) {
-        return usage();
-      }
-    } else if (arg == "--total-slots") {
-      if ((v = value("--total-slots")) == nullptr ||
-          !parse_int("--total-slots", v, 1, &tier.total_slots)) {
-        return usage();
-      }
-    } else if (arg == "--churn-ms") {
-      if ((v = value("--churn-ms")) == nullptr ||
-          !parse_int("--churn-ms", v, 0, &tier.churn_lifetime_ms)) {
-        return usage();
-      }
-    } else if (arg == "--resubmit-ms") {
-      if ((v = value("--resubmit-ms")) == nullptr ||
-          !parse_int("--resubmit-ms", v, 1, &tier.resubmit_ms)) {
-        return usage();
-      }
-    } else if (arg == "--run-for-ms") {
-      if ((v = value("--run-for-ms")) == nullptr ||
-          !parse_int("--run-for-ms", v, 3000, &cfg.run_for_ms)) {
-        return usage();
-      }
-    } else if (arg == "--base-port") {
-      if ((v = value("--base-port")) == nullptr ||
-          !parse_int("--base-port", v, 1024, &cfg.base_port)) {
-        return usage();
-      }
-    } else if (arg == "--seed") {
-      if ((v = value("--seed")) == nullptr ||
-          !parse_int("--seed", v, 0, &cfg.seed)) {
-        return usage();
-      }
-    } else if (arg == "--out") {
-      if ((v = value("--out")) == nullptr) return usage();
-      out_path = v;
-    } else if (arg == "--baseline") {
-      if ((v = value("--baseline")) == nullptr) return usage();
-      baseline_path = v;
-    } else if (arg == "--tolerance") {
-      if ((v = value("--tolerance")) == nullptr) return usage();
-      char* end = nullptr;
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || tolerance < 0) {
-        return usage("--tolerance expects a non-negative number");
-      }
-    } else if (arg == "--chaos") {
-      if ((v = value("--chaos")) == nullptr) return usage();
-      const std::string mode = v;
-      if (mode == "on") {
-        chaos_pass = true;
-      } else if (mode == "off") {
-        chaos_pass = false;
-      } else {
-        return usage("--chaos expects on|off");
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "bench_rt_service: unknown flag " << arg << "\n";
-      return usage();
-    }
-  }
-  if (cfg.t >= cfg.n) return usage("--t must be < --n");
+  std::string chaos_mode = "on";
+  saf::util::Flags flags("bench_rt_service");
+  flags.integer("--n", "N", &cfg.n, 2)
+      .integer("--t", "T", &cfg.t, 1)
+      .integer("--k", "K", &cfg.k, 1)
+      .integer("--clients", "C", &tier.clients, 1)
+      .integer("--total-slots", "S", &tier.total_slots, 1)
+      .integer("--churn-ms", "MS", &tier.churn_lifetime_ms, 0)
+      .integer("--resubmit-ms", "MS", &tier.resubmit_ms, 1)
+      .integer("--run-for-ms", "MS", &cfg.run_for_ms, 3000)
+      .integer("--base-port", "P", &cfg.base_port, 1024)
+      .integer("--seed", "S", &cfg.seed, 0)
+      .text("--out", "FILE", &out_path)
+      .text("--baseline", "FILE", &baseline_path)
+      .real("--tolerance", "F", &tolerance, 0)
+      .choice("--chaos", {"on", "off"}, &chaos_mode);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  const bool chaos_pass = chaos_mode == "on";
+  if (cfg.t >= cfg.n) return flags.fail("--t must be < --n");
   if (tier.clients > tier.total_slots) {
-    return usage("--clients must be <= --total-slots");
+    return flags.fail("--clients must be <= --total-slots");
   }
 
   cfg.svc_client_slots = tier.total_slots;

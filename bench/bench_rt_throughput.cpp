@@ -25,49 +25,19 @@
 // binary (it forks real socket-bound processes); CI skips bench_rt_*
 // in its --benchmark_list_tests sweep over build/bench.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "rt/cluster.h"
 #include "sweep/bench_json.h"
+#include "util/flags.h"
 
 namespace {
 
 using saf::rt::ClusterConfig;
 using saf::rt::ClusterResult;
-
-void print_usage(std::ostream& os) {
-  os << "usage: bench_rt_throughput [--rounds R] [--repeat REP] [--n N]\n"
-        "                           [--t T] [--k K] [--crash C]\n"
-        "                           [--base-port P] [--run-for-ms MS]\n"
-        "                           [--out FILE] [--baseline FILE]\n"
-        "                           [--tolerance F] [--chaos on|off]\n"
-        "                           [--help]\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "bench_rt_throughput: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "bench_rt_throughput: " << flag
-              << " expects an integer >= " << lo << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -133,84 +103,24 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_rt.json";
   std::string baseline_path;
   double tolerance = 0.25;
-  bool chaos_pass = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_rt_throughput: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--rounds") {
-      if ((v = value("--rounds")) == nullptr ||
-          !parse_int("--rounds", v, 1, &cfg.rounds)) {
-        return usage();
-      }
-    } else if (arg == "--repeat") {
-      if ((v = value("--repeat")) == nullptr ||
-          !parse_int("--repeat", v, 1, &repeat)) {
-        return usage();
-      }
-    } else if (arg == "--n") {
-      if ((v = value("--n")) == nullptr || !parse_int("--n", v, 2, &cfg.n))
-        return usage();
-    } else if (arg == "--t") {
-      if ((v = value("--t")) == nullptr || !parse_int("--t", v, 1, &cfg.t))
-        return usage();
-    } else if (arg == "--k") {
-      if ((v = value("--k")) == nullptr || !parse_int("--k", v, 1, &cfg.k))
-        return usage();
-    } else if (arg == "--crash") {
-      if ((v = value("--crash")) == nullptr ||
-          !parse_int("--crash", v, 0, &cfg.crash)) {
-        return usage();
-      }
-    } else if (arg == "--base-port") {
-      if ((v = value("--base-port")) == nullptr ||
-          !parse_int("--base-port", v, 1024, &cfg.base_port)) {
-        return usage();
-      }
-    } else if (arg == "--run-for-ms") {
-      if ((v = value("--run-for-ms")) == nullptr ||
-          !parse_int("--run-for-ms", v, 1, &cfg.run_for_ms)) {
-        return usage();
-      }
-    } else if (arg == "--out") {
-      if ((v = value("--out")) == nullptr) return usage();
-      out_path = v;
-    } else if (arg == "--baseline") {
-      if ((v = value("--baseline")) == nullptr) return usage();
-      baseline_path = v;
-    } else if (arg == "--tolerance") {
-      if ((v = value("--tolerance")) == nullptr) return usage();
-      char* end = nullptr;
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || tolerance < 0) {
-        return usage("--tolerance expects a non-negative number");
-      }
-    } else if (arg == "--chaos") {
-      if ((v = value("--chaos")) == nullptr) return usage();
-      const std::string mode = v;
-      if (mode == "on") {
-        chaos_pass = true;
-      } else if (mode == "off") {
-        chaos_pass = false;
-      } else {
-        return usage("--chaos expects on|off");
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "bench_rt_throughput: unknown flag " << arg << "\n";
-      return usage();
-    }
-  }
-  if (cfg.t >= cfg.n) return usage("--t must be < --n");
-  if (cfg.crash > cfg.t) return usage("--crash must be <= --t");
+  std::string chaos_mode = "on";
+  saf::util::Flags flags("bench_rt_throughput");
+  flags.integer("--rounds", "R", &cfg.rounds, 1)
+      .integer("--repeat", "REP", &repeat, 1)
+      .integer("--n", "N", &cfg.n, 2)
+      .integer("--t", "T", &cfg.t, 1)
+      .integer("--k", "K", &cfg.k, 1)
+      .integer("--crash", "C", &cfg.crash, 0)
+      .integer("--base-port", "P", &cfg.base_port, 1024)
+      .integer("--run-for-ms", "MS", &cfg.run_for_ms, 1)
+      .text("--out", "FILE", &out_path)
+      .text("--baseline", "FILE", &baseline_path)
+      .real("--tolerance", "F", &tolerance, 0)
+      .choice("--chaos", {"on", "off"}, &chaos_mode);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  const bool chaos_pass = chaos_mode == "on";
+  if (cfg.t >= cfg.n) return flags.fail("--t must be < --n");
+  if (cfg.crash > cfg.t) return flags.fail("--crash must be <= --t");
 
   const Measured clean = measure(cfg, repeat, "clean");
 

@@ -16,14 +16,10 @@
 //
 // Exit status: 0 clean (or replay matched), 1 violations found (or
 // replay mismatched), 2 usage error.
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "check/dfs.h"
@@ -34,6 +30,7 @@
 #include "sweep/bench_json.h"
 #include "sweep/thread_pool.h"
 #include "trace/trace.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -63,153 +60,35 @@ struct Args {
   bool list = false;
 };
 
-void print_usage(std::ostream& os) {
-  os <<
-      "usage: check_runner [--protocol a,b,...] [--seeds N] [--first-seed S]\n"
-      "                    [--jobs N] [--shrink] [--record PREFIX]\n"
-      "                    [--dfs] [--dfs-depth D] [--dfs-mode menu|race]\n"
-      "                    [--dfs-hash] [--dfs-symmetry] [--dfs-por]\n"
-      "                    [--dfs-stats FILE]\n"
-      "                    [--trace PREFIX] [--metrics FILE]\n"
-      "                    [--faults PROFILE|SPEC] [--max-events N]\n"
-      "                    [--wall-budget-ms N]\n"
-      "                    [--replay FILE] [--list] [--help]\n"
-      "fault profiles:";
-  for (const auto name : saf::fault::profile_names()) os << " " << name;
-  os << "\n(or an inline spec, e.g. \"drop=0.3,dup=0.1,flap@400/60\")\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "check_runner: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-// Strict decimal parse; returns false (with a message) on anything stoi
-// would throw on or silently truncate ("banana", "10x", out-of-range).
-template <typename Int>
-bool parse_int(const char* flag, const char* v, Int lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE ||
-      std::cmp_less(raw, lo) ||
-      std::cmp_greater(raw, std::numeric_limits<Int>::max())) {
-    std::cerr << "check_runner: " << flag << " expects an integer >= " << lo
-              << ", got '" << v << "'\n";
-    return false;
+/// The flag table, bound to `a`; the usage ends with the fault profiles.
+saf::util::Flags make_flags(Args* a) {
+  std::string notes = "fault profiles:";
+  for (const auto name : saf::fault::profile_names()) {
+    notes += " " + std::string(name);
   }
-  *out = static_cast<Int>(raw);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Args* a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "check_runner: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--protocol") {
-      const char* v = value("--protocol");
-      if (v == nullptr) return false;
-      std::string cur;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) a->protocols.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur += *p;
-        }
-      }
-    } else if (arg == "--seeds") {
-      const char* v = value("--seeds");
-      if (v == nullptr || !parse_int("--seeds", v, 1, &a->seeds)) return false;
-    } else if (arg == "--first-seed") {
-      const char* v = value("--first-seed");
-      if (v == nullptr ||
-          !parse_int("--first-seed", v, std::uint64_t{0}, &a->first_seed)) {
-        return false;
-      }
-    } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (v == nullptr || !parse_int("--jobs", v, 1, &a->jobs)) return false;
-    } else if (arg == "--shrink") {
-      a->shrink = true;
-    } else if (arg == "--dfs") {
-      a->dfs = true;
-    } else if (arg == "--dfs-depth") {
-      const char* v = value("--dfs-depth");
-      if (v == nullptr || !parse_int("--dfs-depth", v, 1, &a->dfs_depth)) {
-        return false;
-      }
-    } else if (arg == "--dfs-mode") {
-      const char* v = value("--dfs-mode");
-      if (v == nullptr) return false;
-      a->dfs_mode = v;
-      if (a->dfs_mode != "menu" && a->dfs_mode != "race") {
-        std::cerr << "check_runner: --dfs-mode expects 'menu' or 'race', got '"
-                  << v << "'\n";
-        return false;
-      }
-    } else if (arg == "--dfs-hash") {
-      a->dfs_hash = true;
-    } else if (arg == "--dfs-symmetry") {
-      a->dfs_symmetry = true;
-    } else if (arg == "--dfs-por") {
-      a->dfs_por = true;
-    } else if (arg == "--dfs-stats") {
-      const char* v = value("--dfs-stats");
-      if (v == nullptr) return false;
-      a->dfs_stats_path = v;
-    } else if (arg == "--record") {
-      const char* v = value("--record");
-      if (v == nullptr) return false;
-      a->record_prefix = v;
-    } else if (arg == "--replay") {
-      const char* v = value("--replay");
-      if (v == nullptr) return false;
-      a->replay_path = v;
-    } else if (arg == "--trace") {
-      const char* v = value("--trace");
-      if (v == nullptr) return false;
-      a->trace_prefix = v;
-    } else if (arg == "--metrics") {
-      const char* v = value("--metrics");
-      if (v == nullptr) return false;
-      a->metrics_path = v;
-    } else if (arg == "--faults") {
-      const char* v = value("--faults");
-      if (v == nullptr) return false;
-      a->faults = v;
-    } else if (arg == "--max-events") {
-      const char* v = value("--max-events");
-      if (v == nullptr ||
-          !parse_int("--max-events", v, std::uint64_t{1}, &a->max_events)) {
-        return false;
-      }
-    } else if (arg == "--wall-budget-ms") {
-      const char* v = value("--wall-budget-ms");
-      if (v == nullptr ||
-          !parse_int("--wall-budget-ms", v, std::int64_t{1},
-                     &a->wall_budget_ms)) {
-        return false;
-      }
-    } else if (arg == "--list") {
-      a->list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "check_runner: unknown flag " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
+  notes += "\n(or an inline spec, e.g. \"drop=0.3,dup=0.1,flap@400/60\")\n";
+  saf::util::Flags flags("check_runner", notes);
+  flags.names("--protocol", "a,b,...", &a->protocols)
+      .integer("--seeds", "N", &a->seeds, 1)
+      .integer("--first-seed", "S", &a->first_seed, 0)
+      .integer("--jobs", "N", &a->jobs, 1)
+      .toggle("--shrink", &a->shrink)
+      .text("--record", "PREFIX", &a->record_prefix)
+      .toggle("--dfs", &a->dfs)
+      .integer("--dfs-depth", "D", &a->dfs_depth, 1)
+      .choice("--dfs-mode", {"menu", "race"}, &a->dfs_mode)
+      .toggle("--dfs-hash", &a->dfs_hash)
+      .toggle("--dfs-symmetry", &a->dfs_symmetry)
+      .toggle("--dfs-por", &a->dfs_por)
+      .text("--dfs-stats", "FILE", &a->dfs_stats_path)
+      .text("--trace", "PREFIX", &a->trace_prefix)
+      .text("--metrics", "FILE", &a->metrics_path)
+      .text("--faults", "PROFILE|SPEC", &a->faults)
+      .integer("--max-events", "N", &a->max_events, 1)
+      .integer("--wall-budget-ms", "N", &a->wall_budget_ms, 1)
+      .text("--replay", "FILE", &a->replay_path)
+      .toggle("--list", &a->list);
+  return flags;
 }
 
 void print_violation(const Protocol& p, const Violation& v) {
@@ -314,7 +193,8 @@ void dfs_stats_json(saf::sweep::JsonWriter& w, const Args& args,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, &args)) return usage();
+  const saf::util::Flags flags = make_flags(&args);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
 
   if (args.list) {
     for (const std::string& name : protocol_names()) {
@@ -334,7 +214,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return r.matched ? 0 : 1;
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return flags.fail(e.what());
     }
   }
 
@@ -348,7 +228,7 @@ int main(int argc, char** argv) {
     try {
       fault_spec = saf::fault::parse_fault_spec(args.faults);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return flags.fail(e.what());
     }
     std::cout << "fault spec: " << fault_spec.name << "\n";
   }
@@ -362,7 +242,7 @@ int main(int argc, char** argv) {
   }
   for (const std::string& name : args.protocols) {
     const Protocol* p = find_protocol(name);
-    if (p == nullptr) return usage("unknown protocol '" + name + "'");
+    if (p == nullptr) return flags.fail("unknown protocol '" + name + "'");
 
     if (args.dfs) {
       DfsOptions opt;
@@ -435,7 +315,7 @@ int main(int argc, char** argv) {
     // installed (metering every sweep run would perturb the parallel
     // hot path; one deterministic run per protocol is the health probe).
     std::ofstream os(args.metrics_path);
-    if (!os) return usage("cannot write " + args.metrics_path);
+    if (!os) return flags.fail("cannot write " + args.metrics_path);
     os << "{\"schema\":\"saf-metrics-v1\",\"protocols\":{";
     bool first = true;
     for (const std::string& name : args.protocols) {

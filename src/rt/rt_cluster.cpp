@@ -12,19 +12,15 @@
 #include <signal.h>
 
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "fault/fault_spec.h"
 #include "rt/cluster.h"
 #include "svc/server.h"
+#include "util/flags.h"
 
 namespace {
-
-using saf::rt::ClusterConfig;
-using saf::rt::ClusterResult;
 
 /// SIGTERM/SIGINT: cooperative stop. run_cluster's reap loop sees the
 /// flag, SIGKILLs and reaps every child, and returns `interrupted`;
@@ -33,194 +29,58 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true); }
 
-void print_usage(std::ostream& os) {
-  os << "usage: rt_cluster [--protocol kset|wheels|svc] [--n N] [--t T]\n"
-        "                  [--k K] [--x X] [--y Y] [--crash C]\n"
-        "                  [--base-port P] [--seed S] [--run-for-ms MS]\n"
-        "                  [--linger-ms MS] [--hb-period MS]\n"
-        "                  [--hb-timeout MS] [--out-dir DIR] [--trace]\n"
-        "                  [--repeat R] [--keep-alive]\n"
-        "                  [--batched-broadcasts] [--chaos-kills K]\n"
-        "                  [--chaos-restart-ms MS] [--chaos-window-ms MS]\n"
-        "                  [--chaos-seed S] [--faults SPEC]\n"
-        "                  [--svc-client-slots N] [--svc-jump-threshold N]\n"
-        "                  [--help]\n"
-        "\n"
-        "--protocol svc runs the long-lived decision service (svc/):\n"
-        "each node pipelines k-set instances for the whole wall budget,\n"
-        "serves client submissions on link ids n..n+slots-1 (see\n"
-        "svc_client), and catches up over decided-prefix snapshots; the\n"
-        "contract check is per-instance agreement/validity/prefix.\n"
-        "\n"
-        "--repeat R re-runs the whole cluster R times (fork/exec per run);\n"
-        "with --keep-alive the R repetitions run as keep-alive rounds\n"
-        "inside one set of node processes (one fork per node total).\n"
-        "\n"
-        "--chaos-kills K schedules K SIGKILL/restart cycles at seeded\n"
-        "mid-round wall offsets (victims recover through their WAL);\n"
-        "--faults installs a fault::LinkFaultModel profile on every\n"
-        "node's live UDP link. SIGTERM/SIGINT reaps all children and\n"
-        "exits 130.\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "rt_cluster: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "rt_cluster: " << flag << " expects an integer >= " << lo
-              << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, ClusterConfig* cfg, int* repeat,
-                bool* keep_alive) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "rt_cluster: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--protocol") {
-      if ((v = value("--protocol")) == nullptr) return false;
-      cfg->protocol = v;
-    } else if (arg == "--n") {
-      if ((v = value("--n")) == nullptr || !parse_int("--n", v, 2, &cfg->n))
-        return false;
-    } else if (arg == "--t") {
-      if ((v = value("--t")) == nullptr || !parse_int("--t", v, 1, &cfg->t))
-        return false;
-    } else if (arg == "--k") {
-      if ((v = value("--k")) == nullptr || !parse_int("--k", v, 1, &cfg->k))
-        return false;
-    } else if (arg == "--x") {
-      if ((v = value("--x")) == nullptr || !parse_int("--x", v, 1, &cfg->x))
-        return false;
-    } else if (arg == "--y") {
-      if ((v = value("--y")) == nullptr || !parse_int("--y", v, 0, &cfg->y))
-        return false;
-    } else if (arg == "--crash") {
-      if ((v = value("--crash")) == nullptr ||
-          !parse_int("--crash", v, 0, &cfg->crash)) {
-        return false;
-      }
-    } else if (arg == "--base-port") {
-      if ((v = value("--base-port")) == nullptr ||
-          !parse_int("--base-port", v, 1024, &cfg->base_port)) {
-        return false;
-      }
-    } else if (arg == "--seed") {
-      if ((v = value("--seed")) == nullptr ||
-          !parse_int("--seed", v, 0, &cfg->seed)) {
-        return false;
-      }
-    } else if (arg == "--run-for-ms") {
-      if ((v = value("--run-for-ms")) == nullptr ||
-          !parse_int("--run-for-ms", v, 1, &cfg->run_for_ms)) {
-        return false;
-      }
-    } else if (arg == "--linger-ms") {
-      if ((v = value("--linger-ms")) == nullptr ||
-          !parse_int("--linger-ms", v, 0, &cfg->linger_ms)) {
-        return false;
-      }
-    } else if (arg == "--hb-period") {
-      if ((v = value("--hb-period")) == nullptr ||
-          !parse_int("--hb-period", v, 1, &cfg->hb.hb_period)) {
-        return false;
-      }
-    } else if (arg == "--hb-timeout") {
-      if ((v = value("--hb-timeout")) == nullptr ||
-          !parse_int("--hb-timeout", v, 1, &cfg->hb.timeout_initial)) {
-        return false;
-      }
-    } else if (arg == "--out-dir") {
-      if ((v = value("--out-dir")) == nullptr) return false;
-      cfg->out_dir = v;
-    } else if (arg == "--trace") {
-      cfg->trace = true;
-    } else if (arg == "--repeat") {
-      if ((v = value("--repeat")) == nullptr ||
-          !parse_int("--repeat", v, 1, repeat)) {
-        return false;
-      }
-    } else if (arg == "--keep-alive") {
-      *keep_alive = true;
-    } else if (arg == "--batched-broadcasts") {
-      cfg->batched_broadcasts = true;
-    } else if (arg == "--svc-client-slots") {
-      if ((v = value("--svc-client-slots")) == nullptr ||
-          !parse_int("--svc-client-slots", v, 0, &cfg->svc_client_slots)) {
-        return false;
-      }
-    } else if (arg == "--svc-jump-threshold") {
-      if ((v = value("--svc-jump-threshold")) == nullptr ||
-          !parse_int("--svc-jump-threshold", v, 1,
-                     &cfg->svc_jump_threshold)) {
-        return false;
-      }
-    } else if (arg == "--chaos-kills") {
-      if ((v = value("--chaos-kills")) == nullptr ||
-          !parse_int("--chaos-kills", v, 0, &cfg->chaos.kills)) {
-        return false;
-      }
-    } else if (arg == "--chaos-restart-ms") {
-      if ((v = value("--chaos-restart-ms")) == nullptr ||
-          !parse_int("--chaos-restart-ms", v, 0,
-                     &cfg->chaos.restart_delay_ms)) {
-        return false;
-      }
-    } else if (arg == "--chaos-window-ms") {
-      if ((v = value("--chaos-window-ms")) == nullptr ||
-          !parse_int("--chaos-window-ms", v, 1, &cfg->chaos.window_span_ms)) {
-        return false;
-      }
-    } else if (arg == "--chaos-seed") {
-      if ((v = value("--chaos-seed")) == nullptr ||
-          !parse_int("--chaos-seed", v, 0, &cfg->chaos.seed)) {
-        return false;
-      }
-    } else if (arg == "--faults") {
-      if ((v = value("--faults")) == nullptr) return false;
-      cfg->chaos.faults = v;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "rt_cluster: unknown flag " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ClusterConfig cfg;
+  saf::rt::ClusterConfig cfg;
   int repeat = 1;
   bool keep_alive = false;
-  if (!parse_args(argc, argv, &cfg, &repeat, &keep_alive)) return usage();
-  if (cfg.t >= cfg.n) return usage("--t must be < --n");
-  if (cfg.crash > cfg.t) return usage("--crash must be <= --t");
-  if (cfg.protocol != "kset" && cfg.protocol != "wheels" &&
-      cfg.protocol != "svc") {
-    return usage("--protocol must be kset, wheels or svc");
-  }
+  saf::util::Flags flags(
+      "rt_cluster",
+      "\n"
+      "--protocol svc runs the long-lived decision service (svc/):\n"
+      "each node pipelines k-set instances for the whole wall budget,\n"
+      "serves client submissions on link ids n..n+slots-1 (see\n"
+      "svc_client), and catches up over decided-prefix snapshots; the\n"
+      "contract check is per-instance agreement/validity/prefix.\n"
+      "\n"
+      "--repeat R re-runs the whole cluster R times (fork/exec per run);\n"
+      "with --keep-alive the R repetitions run as keep-alive rounds\n"
+      "inside one set of node processes (one fork per node total).\n"
+      "\n"
+      "--chaos-kills K schedules K SIGKILL/restart cycles at seeded\n"
+      "mid-round wall offsets (victims recover through their WAL);\n"
+      "--faults installs a fault::LinkFaultModel profile on every\n"
+      "node's live UDP link. SIGTERM/SIGINT reaps all children and\n"
+      "exits 130.\n");
+  flags.choice("--protocol", {"kset", "wheels", "svc"}, &cfg.protocol)
+      .integer("--n", "N", &cfg.n, 2)
+      .integer("--t", "T", &cfg.t, 1)
+      .integer("--k", "K", &cfg.k, 1)
+      .integer("--x", "X", &cfg.x, 1)
+      .integer("--y", "Y", &cfg.y, 0)
+      .integer("--crash", "C", &cfg.crash, 0)
+      .integer("--base-port", "P", &cfg.base_port, 1024)
+      .integer("--seed", "S", &cfg.seed, 0)
+      .integer("--run-for-ms", "MS", &cfg.run_for_ms, 1)
+      .integer("--linger-ms", "MS", &cfg.linger_ms, 0)
+      .integer("--hb-period", "MS", &cfg.hb.hb_period, 1)
+      .integer("--hb-timeout", "MS", &cfg.hb.timeout_initial, 1)
+      .text("--out-dir", "DIR", &cfg.out_dir)
+      .toggle("--trace", &cfg.trace)
+      .integer("--repeat", "R", &repeat, 1)
+      .toggle("--keep-alive", &keep_alive)
+      .toggle("--batched-broadcasts", &cfg.batched_broadcasts)
+      .integer("--chaos-kills", "K", &cfg.chaos.kills, 0)
+      .integer("--chaos-restart-ms", "MS", &cfg.chaos.restart_delay_ms, 0)
+      .integer("--chaos-window-ms", "MS", &cfg.chaos.window_span_ms, 1)
+      .integer("--chaos-seed", "S", &cfg.chaos.seed, 0)
+      .text("--faults", "SPEC", &cfg.chaos.faults)
+      .integer("--svc-client-slots", "N", &cfg.svc_client_slots, 0)
+      .integer("--svc-jump-threshold", "N", &cfg.svc_jump_threshold, 1);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (cfg.t >= cfg.n) return flags.fail("--t must be < --n");
+  if (cfg.crash > cfg.t) return flags.fail("--crash must be <= --t");
   if (cfg.protocol == "svc") {
     // The launcher's fork/kill/restart/reap machinery is reused as-is;
     // only the per-child loop and the contract check are swapped.
@@ -237,7 +97,7 @@ int main(int argc, char** argv) {
     try {
       (void)saf::fault::parse_fault_spec(cfg.chaos.faults);
     } catch (const std::exception& e) {
-      return usage(std::string("--faults: ") + e.what());
+      return flags.fail(std::string("--faults: ") + e.what());
     }
   }
 
@@ -249,7 +109,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   for (int r = 0; r < repeat; ++r) {
-    const ClusterResult res = saf::rt::run_cluster(cfg);
+    const saf::rt::ClusterResult res = saf::rt::run_cluster(cfg);
     if (res.interrupted) {
       std::cerr << "rt_cluster: interrupted; children reaped\n";
       return 130;

@@ -9,127 +9,35 @@
 // links through teardown/rebirth with bumped incarnations. Prints an
 // aggregate JSON (throughput + latency percentiles). Exit status: 0
 // every client link bound, 1 otherwise, 2 usage error.
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "svc/client.h"
 #include "sweep/bench_json.h"
-
-namespace {
-
-using saf::svc::ClientTierConfig;
-
-void print_usage(std::ostream& os) {
-  os << "usage: svc_client [--n N] [--base-port P] [--clients C]\n"
-        "                  [--first-slot S] [--total-slots T]\n"
-        "                  [--run-for-ms MS] [--resubmit-ms MS]\n"
-        "                  [--churn-ms MS] [--seed S] [--out FILE]\n"
-        "                  [--help]\n"
-        "\n"
-        "Drives C closed-loop clients (link ids n+first-slot ..) against\n"
-        "the svc servers on base-port. --total-slots must match the\n"
-        "servers' --svc-client-slots; --churn-ms 0 disables churn.\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "svc_client: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, long long lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || raw < lo) {
-    std::cerr << "svc_client: " << flag << " expects an integer >= " << lo
-              << "\n";
-    return false;
-  }
-  *out = static_cast<Int>(raw);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, ClientTierConfig* cfg,
-                std::string* out_path) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "svc_client: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--n") {
-      if ((v = value("--n")) == nullptr || !parse_int("--n", v, 1, &cfg->n))
-        return false;
-    } else if (arg == "--base-port") {
-      if ((v = value("--base-port")) == nullptr ||
-          !parse_int("--base-port", v, 1024, &cfg->base_port)) {
-        return false;
-      }
-    } else if (arg == "--clients") {
-      if ((v = value("--clients")) == nullptr ||
-          !parse_int("--clients", v, 1, &cfg->clients)) {
-        return false;
-      }
-    } else if (arg == "--first-slot") {
-      if ((v = value("--first-slot")) == nullptr ||
-          !parse_int("--first-slot", v, 0, &cfg->first_slot)) {
-        return false;
-      }
-    } else if (arg == "--total-slots") {
-      if ((v = value("--total-slots")) == nullptr ||
-          !parse_int("--total-slots", v, 1, &cfg->total_slots)) {
-        return false;
-      }
-    } else if (arg == "--run-for-ms") {
-      if ((v = value("--run-for-ms")) == nullptr ||
-          !parse_int("--run-for-ms", v, 1, &cfg->run_for_ms)) {
-        return false;
-      }
-    } else if (arg == "--resubmit-ms") {
-      if ((v = value("--resubmit-ms")) == nullptr ||
-          !parse_int("--resubmit-ms", v, 1, &cfg->resubmit_ms)) {
-        return false;
-      }
-    } else if (arg == "--churn-ms") {
-      if ((v = value("--churn-ms")) == nullptr ||
-          !parse_int("--churn-ms", v, 0, &cfg->churn_lifetime_ms)) {
-        return false;
-      }
-    } else if (arg == "--seed") {
-      if ((v = value("--seed")) == nullptr ||
-          !parse_int("--seed", v, 0, &cfg->seed)) {
-        return false;
-      }
-    } else if (arg == "--out") {
-      if ((v = value("--out")) == nullptr) return false;
-      *out_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "svc_client: unknown flag " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
-  ClientTierConfig cfg;
+  saf::svc::ClientTierConfig cfg;
   std::string out_path;
-  if (!parse_args(argc, argv, &cfg, &out_path)) return usage();
-  if (cfg.first_slot + cfg.clients > cfg.total_slots) {
-    return usage("--first-slot + --clients must be <= --total-slots");
+  saf::util::Flags flags(
+      "svc_client",
+      "\n"
+      "Drives C closed-loop clients (link ids n+first-slot ..) against\n"
+      "the svc servers on base-port. --total-slots must match the\n"
+      "servers' --svc-client-slots; --churn-ms 0 disables churn.\n");
+  flags.integer("--n", "N", &cfg.n, 1)
+      .integer("--base-port", "P", &cfg.base_port, 1024)
+      .integer("--clients", "C", &cfg.clients, 1)
+      .integer("--first-slot", "S", &cfg.first_slot, 0)
+      .integer("--total-slots", "T", &cfg.total_slots, 1)
+      .integer("--run-for-ms", "MS", &cfg.run_for_ms, 1)
+      .integer("--resubmit-ms", "MS", &cfg.resubmit_ms, 1)
+      .integer("--churn-ms", "MS", &cfg.churn_lifetime_ms, 0)
+      .integer("--seed", "S", &cfg.seed, 0)
+      .text("--out", "FILE", &out_path);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (cfg.clients > cfg.total_slots - cfg.first_slot) {
+    return flags.fail("--first-slot + --clients must be <= --total-slots");
   }
 
   const saf::svc::ClientRunResult res = saf::svc::run_client_tier(cfg);

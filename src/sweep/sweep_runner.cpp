@@ -41,15 +41,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,6 +63,7 @@
 #include "sweep/sweep.h"
 #include "sweep/thread_pool.h"
 #include "trace/trace.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -85,7 +84,7 @@ struct Args {
   std::string trace_prefix;  // canonical traced run per protocol
   std::string metrics_path;  // per-protocol run metrics as JSON
   double tolerance = 0.25;
-  bool verify_digest = true;  // serial re-run + digest comparison
+  std::string verify_digest = "on";  // serial re-run + digest comparison
   // Fault-injection mode.
   std::string faults;         // named profile or inline spec; enables the mode
   std::string checkpoint;     // checkpoint file (fault mode)
@@ -102,7 +101,7 @@ struct Args {
   bool rt = false;
   int rt_runs = 10;
   int rt_rounds = 20;
-  std::string rt_kills = "0";  // comma list of kills-per-run grid values
+  std::vector<int> rt_kills = {0};  // kills-per-run grid values
   int rt_n = 5;
   int rt_t = 2;
   int rt_k = 2;
@@ -112,22 +111,10 @@ struct Args {
   bool rt_trace = false;   // per-node traces + merged trace artifact
 };
 
-void print_usage(std::ostream& os) {
-  os <<
-      "usage: sweep_runner [--protocol a,b,...] [--seeds N] [--master-seed S]\n"
-      "                    [--jobs N] [--sim-runs N] [--grid] [--out-dir DIR]\n"
-      "                    [--baseline-sim FILE] [--baseline-sweep FILE]\n"
-      "                    [--trace PREFIX] [--metrics FILE]\n"
-      "                    [--tolerance FRACTION] [--verify-digest on|off]\n"
-      "                    [--faults PROFILE|SPEC] [--checkpoint FILE]\n"
-      "                    [--resume] [--checkpoint-every N]\n"
-      "                    [--max-events N] [--wall-budget-ms N]\n"
-      "                    [--scale off|smoke|full]\n"
-      "                    [--rt] [--rt-runs N] [--rt-rounds N]\n"
-      "                    [--rt-kills K1,K2,...] [--rt-n N] [--rt-t T]\n"
-      "                    [--rt-k K] [--rt-base-port P]\n"
-      "                    [--rt-run-for-ms MS] [--rt-hb P/T,P/T,...]\n"
-      "                    [--rt-trace] [--help]\n"
+/// The flag table, bound to `a`; the usage ends with the --rt notes and
+/// the fault profiles.
+saf::util::Flags make_flags(Args* a) {
+  std::string notes =
       "\n"
       "--rt runs the live-runtime chaos sweep: grids of rt_cluster\n"
       "invocations over (fault profiles x kills x heartbeat params),\n"
@@ -135,206 +122,43 @@ void print_usage(std::ostream& os) {
       "checkpoint/resume via --checkpoint. --faults is then a comma list\n"
       "of profiles ('' entries = clean).\n"
       "fault profiles:";
-  for (const auto name : saf::fault::profile_names()) os << " " << name;
-  os << "\n";
-}
-
-int usage(const std::string& err = "") {
-  if (!err.empty()) std::cerr << "sweep_runner: " << err << "\n";
-  print_usage(std::cerr);
-  return 2;
-}
-
-template <typename Int>
-bool parse_int(const char* flag, const char* v, Int lo, Int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long raw = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE ||
-      std::cmp_less(raw, lo) ||
-      std::cmp_greater(raw, std::numeric_limits<Int>::max())) {
-    std::cerr << "sweep_runner: " << flag << " expects an integer >= " << lo
-              << ", got '" << v << "'\n";
-    return false;
+  for (const auto name : saf::fault::profile_names()) {
+    notes += " " + std::string(name);
   }
-  *out = static_cast<Int>(raw);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Args* a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "sweep_runner: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--protocol") {
-      const char* v = value("--protocol");
-      if (v == nullptr) return false;
-      std::string cur;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) a->protocols.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur += *p;
-        }
-      }
-    } else if (arg == "--seeds") {
-      const char* v = value("--seeds");
-      if (v == nullptr || !parse_int("--seeds", v, 1, &a->seeds)) return false;
-    } else if (arg == "--master-seed") {
-      const char* v = value("--master-seed");
-      if (v == nullptr ||
-          !parse_int("--master-seed", v, std::uint64_t{0}, &a->master_seed)) {
-        return false;
-      }
-    } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (v == nullptr || !parse_int("--jobs", v, 1, &a->jobs)) return false;
-    } else if (arg == "--sim-runs") {
-      const char* v = value("--sim-runs");
-      if (v == nullptr || !parse_int("--sim-runs", v, 1, &a->sim_runs)) {
-        return false;
-      }
-    } else if (arg == "--grid") {
-      a->grid = true;
-    } else if (arg == "--out-dir") {
-      const char* v = value("--out-dir");
-      if (v == nullptr) return false;
-      a->out_dir = v;
-    } else if (arg == "--baseline-sim") {
-      const char* v = value("--baseline-sim");
-      if (v == nullptr) return false;
-      a->baseline_sim = v;
-    } else if (arg == "--baseline-sweep") {
-      const char* v = value("--baseline-sweep");
-      if (v == nullptr) return false;
-      a->baseline_sweep = v;
-    } else if (arg == "--trace") {
-      const char* v = value("--trace");
-      if (v == nullptr) return false;
-      a->trace_prefix = v;
-    } else if (arg == "--metrics") {
-      const char* v = value("--metrics");
-      if (v == nullptr) return false;
-      a->metrics_path = v;
-    } else if (arg == "--faults") {
-      const char* v = value("--faults");
-      if (v == nullptr) return false;
-      a->faults = v;
-    } else if (arg == "--checkpoint") {
-      const char* v = value("--checkpoint");
-      if (v == nullptr) return false;
-      a->checkpoint = v;
-    } else if (arg == "--resume") {
-      a->resume = true;
-    } else if (arg == "--checkpoint-every") {
-      const char* v = value("--checkpoint-every");
-      if (v == nullptr ||
-          !parse_int("--checkpoint-every", v, 1, &a->checkpoint_every)) {
-        return false;
-      }
-    } else if (arg == "--max-events") {
-      const char* v = value("--max-events");
-      if (v == nullptr ||
-          !parse_int("--max-events", v, std::uint64_t{1}, &a->max_events)) {
-        return false;
-      }
-    } else if (arg == "--wall-budget-ms") {
-      const char* v = value("--wall-budget-ms");
-      if (v == nullptr ||
-          !parse_int("--wall-budget-ms", v, std::int64_t{1},
-                     &a->wall_budget_ms)) {
-        return false;
-      }
-    } else if (arg == "--tolerance") {
-      const char* v = value("--tolerance");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      a->tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || a->tolerance < 0) {
-        std::cerr << "sweep_runner: --tolerance expects a fraction >= 0\n";
-        return false;
-      }
-    } else if (arg == "--scale") {
-      const char* v = value("--scale");
-      if (v == nullptr) return false;
-      a->scale = v;
-      if (a->scale != "off" && a->scale != "smoke" && a->scale != "full") {
-        std::cerr << "sweep_runner: --scale expects off|smoke|full\n";
-        return false;
-      }
-    } else if (arg == "--rt") {
-      a->rt = true;
-    } else if (arg == "--rt-runs") {
-      const char* v = value("--rt-runs");
-      if (v == nullptr || !parse_int("--rt-runs", v, 1, &a->rt_runs)) {
-        return false;
-      }
-    } else if (arg == "--rt-rounds") {
-      const char* v = value("--rt-rounds");
-      if (v == nullptr || !parse_int("--rt-rounds", v, 1, &a->rt_rounds)) {
-        return false;
-      }
-    } else if (arg == "--rt-kills") {
-      const char* v = value("--rt-kills");
-      if (v == nullptr) return false;
-      a->rt_kills = v;
-    } else if (arg == "--rt-n") {
-      const char* v = value("--rt-n");
-      if (v == nullptr || !parse_int("--rt-n", v, 2, &a->rt_n)) return false;
-    } else if (arg == "--rt-t") {
-      const char* v = value("--rt-t");
-      if (v == nullptr || !parse_int("--rt-t", v, 1, &a->rt_t)) return false;
-    } else if (arg == "--rt-k") {
-      const char* v = value("--rt-k");
-      if (v == nullptr || !parse_int("--rt-k", v, 1, &a->rt_k)) return false;
-    } else if (arg == "--rt-base-port") {
-      const char* v = value("--rt-base-port");
-      if (v == nullptr ||
-          !parse_int("--rt-base-port", v, std::uint16_t{1024},
-                     &a->rt_base_port)) {
-        return false;
-      }
-    } else if (arg == "--rt-run-for-ms") {
-      const char* v = value("--rt-run-for-ms");
-      if (v == nullptr ||
-          !parse_int("--rt-run-for-ms", v, std::int64_t{1},
-                     &a->rt_run_for_ms)) {
-        return false;
-      }
-    } else if (arg == "--rt-hb") {
-      const char* v = value("--rt-hb");
-      if (v == nullptr) return false;
-      a->rt_hb = v;
-    } else if (arg == "--rt-trace") {
-      a->rt_trace = true;
-    } else if (arg == "--verify-digest") {
-      const char* v = value("--verify-digest");
-      if (v == nullptr) return false;
-      const std::string mode = v;
-      if (mode == "on") {
-        a->verify_digest = true;
-      } else if (mode == "off") {
-        a->verify_digest = false;
-      } else {
-        std::cerr << "sweep_runner: --verify-digest expects on|off\n";
-        return false;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "sweep_runner: unknown flag " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
+  notes += "\n";
+  saf::util::Flags flags("sweep_runner", notes);
+  flags.names("--protocol", "a,b,...", &a->protocols)
+      .integer("--seeds", "N", &a->seeds, 1)
+      .integer("--master-seed", "S", &a->master_seed, 0)
+      .integer("--jobs", "N", &a->jobs, 1)
+      .integer("--sim-runs", "N", &a->sim_runs, 1)
+      .toggle("--grid", &a->grid)
+      .text("--out-dir", "DIR", &a->out_dir)
+      .text("--baseline-sim", "FILE", &a->baseline_sim)
+      .text("--baseline-sweep", "FILE", &a->baseline_sweep)
+      .text("--trace", "PREFIX", &a->trace_prefix)
+      .text("--metrics", "FILE", &a->metrics_path)
+      .real("--tolerance", "FRACTION", &a->tolerance, 0)
+      .choice("--verify-digest", {"on", "off"}, &a->verify_digest)
+      .text("--faults", "PROFILE|SPEC", &a->faults)
+      .text("--checkpoint", "FILE", &a->checkpoint)
+      .toggle("--resume", &a->resume)
+      .integer("--checkpoint-every", "N", &a->checkpoint_every, 1)
+      .integer("--max-events", "N", &a->max_events, 1)
+      .integer("--wall-budget-ms", "N", &a->wall_budget_ms, 1)
+      .choice("--scale", {"off", "smoke", "full"}, &a->scale)
+      .toggle("--rt", &a->rt)
+      .integer("--rt-runs", "N", &a->rt_runs, 1)
+      .integer("--rt-rounds", "N", &a->rt_rounds, 1)
+      .integers("--rt-kills", "K1,K2,...", &a->rt_kills, 0)
+      .integer("--rt-n", "N", &a->rt_n, 2)
+      .integer("--rt-t", "T", &a->rt_t, 1)
+      .integer("--rt-k", "K", &a->rt_k, 1)
+      .integer("--rt-base-port", "P", &a->rt_base_port, 1024)
+      .integer("--rt-run-for-ms", "MS", &a->rt_run_for_ms, 1)
+      .text("--rt-hb", "P/T,P/T,...", &a->rt_hb)
+      .toggle("--rt-trace", &a->rt_trace);
+  return flags;
 }
 
 /// Adapter: one schedule-exploration case as a sweep run.
@@ -541,20 +365,20 @@ extern "C" void handle_stop_signal(int) {
   g_stop.store(true, std::memory_order_relaxed);
 }
 
-int run_fault_mode(const Args& args,
+int run_fault_mode(const Args& args, const saf::util::Flags& flags,
                    const std::vector<const check::Protocol*>& protocols) {
   saf::fault::FaultSpec spec;
   try {
     spec = saf::fault::parse_fault_spec(args.faults.empty() ? "none"
                                                             : args.faults);
   } catch (const std::exception& e) {
-    return usage(e.what());
+    return flags.fail(e.what());
   }
   if (args.checkpoint.empty() && args.resume) {
-    return usage("--resume needs --checkpoint FILE");
+    return flags.fail("--resume needs --checkpoint FILE");
   }
   if (!args.checkpoint.empty() && protocols.size() != 1) {
-    return usage("--checkpoint tracks one sweep; use --protocol NAME");
+    return flags.fail("--checkpoint tracks one sweep; use --protocol NAME");
   }
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
@@ -580,7 +404,7 @@ int run_fault_mode(const Args& args,
     try {
       report = check::fault_sweep(*p, opt);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return flags.fail(e.what());
     }
     std::cout << "[" << p->name << "] " << report.completed << "/"
               << report.total << " runs";
@@ -617,22 +441,7 @@ int run_fault_mode(const Args& args,
 
 // --- live-runtime chaos sweep mode (--rt) ------------------------------
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-int run_rt_mode(const Args& args) {
+int run_rt_mode(const Args& args, const saf::util::Flags& flags) {
   saf::rt::RtSweepOptions opts;
   ::mkdir((args.out_dir == "." ? "rt_sweep_out" : args.out_dir).c_str(),
           0755);  // EEXIST is fine
@@ -653,44 +462,37 @@ int run_rt_mode(const Args& args) {
 
   if (!args.faults.empty()) {
     opts.fault_profiles.clear();
-    for (const std::string& f : split_commas(args.faults)) {
+    for (const std::string& f : saf::util::split_list(args.faults)) {
       if (!f.empty() && f != "none") {
         try {
           (void)saf::fault::parse_fault_spec(f);
         } catch (const std::exception& e) {
-          return usage(std::string("--faults: ") + e.what());
+          return flags.fail(std::string("--faults: ") + e.what());
         }
       }
       opts.fault_profiles.push_back(f == "none" ? "" : f);
     }
   }
-  opts.kills.clear();
-  for (const std::string& k : split_commas(args.rt_kills)) {
-    if (k.empty()) continue;
-    int v = 0;
-    if (!parse_int("--rt-kills", k.c_str(), 0, &v)) return usage();
-    opts.kills.push_back(v);
-  }
-  if (opts.kills.empty()) opts.kills.push_back(0);
+  opts.kills = args.rt_kills;
   if (!args.rt_hb.empty()) {
     opts.hb_grid.clear();
-    for (const std::string& pair : split_commas(args.rt_hb)) {
-      const auto slash = pair.find('/');
-      if (slash == std::string::npos) {
-        return usage("--rt-hb expects PERIOD/TIMEOUT pairs");
-      }
+    for (const std::string& pair : saf::util::split_list(args.rt_hb)) {
+      const std::string_view text = pair;
+      const std::size_t slash = text.find('/');
       saf::rt::HeartbeatParams hb;
-      if (!parse_int("--rt-hb", pair.substr(0, slash).c_str(),
-                     std::int64_t{1}, &hb.hb_period) ||
-          !parse_int("--rt-hb", pair.substr(slash + 1).c_str(),
-                     std::int64_t{1}, &hb.timeout_initial)) {
-        return usage();
+      if (slash == std::string_view::npos ||
+          !saf::util::parse_int(text.substr(0, slash), std::int64_t{1},
+                                &hb.hb_period) ||
+          !saf::util::parse_int(text.substr(slash + 1), std::int64_t{1},
+                                &hb.timeout_initial)) {
+        return flags.fail("--rt-hb expects PERIOD/TIMEOUT pairs of "
+                          "integers >= 1, got '" + pair + "'");
       }
       opts.hb_grid.push_back(hb);
     }
   }
   if (args.resume && args.checkpoint.empty()) {
-    return usage("--resume needs --checkpoint FILE");
+    return flags.fail("--resume needs --checkpoint FILE");
   }
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
@@ -704,7 +506,7 @@ int run_rt_mode(const Args& args) {
   try {
     rep = saf::rt::rt_sweep(opts);
   } catch (const std::exception& e) {
-    return usage(e.what());
+    return flags.fail(e.what());
   }
 
   std::cout << "[rt] " << rep.completed << "/" << opts.runs << " runs";
@@ -745,22 +547,23 @@ int run_rt_mode(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, &args)) return usage();
+  const saf::util::Flags flags = make_flags(&args);
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
   if (args.protocols.empty()) {
     args.protocols = {"kset", "two-wheels", "phibar"};
   }
   std::vector<const check::Protocol*> protocols;
   for (const std::string& name : args.protocols) {
     const check::Protocol* p = check::find_protocol(name);
-    if (p == nullptr) return usage("unknown protocol '" + name + "'");
+    if (p == nullptr) return flags.fail("unknown protocol '" + name + "'");
     protocols.push_back(p);
   }
 
   if (args.rt) {
-    return run_rt_mode(args);
+    return run_rt_mode(args, flags);
   }
   if (!args.faults.empty() || !args.checkpoint.empty() || args.resume) {
-    return run_fault_mode(args, protocols);
+    return run_fault_mode(args, flags, protocols);
   }
 
   ThreadPool serial(1);
@@ -822,7 +625,7 @@ int main(int argc, char** argv) {
     sweep_json.key(p->name).begin_object();
     emit_sweep_aggregates(sweep_json, par);
 
-    if (!args.verify_digest) {
+    if (args.verify_digest == "off") {
       // --verify-digest off: no serial reference run, so no
       // serial/scaling/identity keys either — absence is the honest
       // signal that this sweep was not determinism-checked.
@@ -961,7 +764,7 @@ int main(int argc, char** argv) {
     std::ofstream metrics_os;
     if (!args.metrics_path.empty()) {
       metrics_os.open(args.metrics_path);
-      if (!metrics_os) return usage("cannot write " + args.metrics_path);
+      if (!metrics_os) return flags.fail("cannot write " + args.metrics_path);
       metrics_os << "{\"schema\":\"saf-metrics-v1\",\"protocols\":{";
     }
     bool first = true;
@@ -977,7 +780,7 @@ int main(int argc, char** argv) {
         const std::string path =
             args.trace_prefix + "-" + p->name + ".trace.jsonl";
         trace_os.open(path);
-        if (!trace_os) return usage("cannot write " + path);
+        if (!trace_os) return flags.fail("cannot write " + path);
         trace_os << "# " << p->name << " " << check::describe_case(c) << "\n";
         sink = std::make_unique<saf::trace::JsonlSink>(trace_os);
         ctx.trace_sink = sink.get();

@@ -7,91 +7,59 @@
 //       Per-kind / per-process / per-tag tables and the time span.
 //
 // Exit codes: 0 ok / identical, 1 traces differ, 2 usage or I/O error.
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "trace/diff.h"
-
-namespace {
-
-int usage(std::ostream& os) {
-  os << "usage: trace_tool diff <lhs.jsonl> <rhs.jsonl> [--context N]\n"
-     << "       trace_tool summary <trace.jsonl>\n"
-     << "       trace_tool --help\n"
-     << "\n"
-     << "diff exits 0 when the traces are structurally identical, 1 with\n"
-     << "a report naming the first divergent event otherwise.\n"
-     << "Lines starting with '#' and blank lines are ignored.\n";
-  return 2;
-}
-
-int run_diff(const std::vector<std::string>& args) {
-  std::string lhs_path, rhs_path;
-  int context = 3;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--context") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "trace_tool: --context needs a value\n";
-        return usage(std::cerr);
-      }
-      context = std::stoi(args[++i]);
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      std::cerr << "trace_tool: unknown flag '" << args[i] << "'\n";
-      return usage(std::cerr);
-    } else if (lhs_path.empty()) {
-      lhs_path = args[i];
-    } else if (rhs_path.empty()) {
-      rhs_path = args[i];
-    } else {
-      std::cerr << "trace_tool: too many arguments\n";
-      return usage(std::cerr);
-    }
-  }
-  if (lhs_path.empty() || rhs_path.empty()) {
-    std::cerr << "trace_tool: diff needs two trace files\n";
-    return usage(std::cerr);
-  }
-  const auto lhs = saf::trace::read_trace_file(lhs_path);
-  const auto rhs = saf::trace::read_trace_file(rhs_path);
-  const saf::trace::TraceDiff d = saf::trace::diff_traces(lhs, rhs, context);
-  if (d.identical) {
-    std::cout << d.reason << "\n";
-    return 0;
-  }
-  std::cout << d.report;
-  return 1;
-}
-
-int run_summary(const std::vector<std::string>& args) {
-  if (args.size() != 1 || (args[0].size() > 1 && args[0][0] == '-')) {
-    std::cerr << "trace_tool: summary needs exactly one trace file\n";
-    return usage(std::cerr);
-  }
-  const auto lines = saf::trace::read_trace_file(args[0]);
-  std::cout << saf::trace::summarize_trace(lines);
-  return 0;
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) return usage(std::cerr);
-  if (args[0] == "--help" || args[0] == "-h" || args[0] == "help") {
-    usage(std::cout);
+  int context = 3;
+  std::vector<std::string> files;
+  saf::util::Flags flags(
+      "trace_tool",
+      "       trace_tool summary <trace.jsonl>\n"
+      "\n"
+      "diff exits 0 when the traces are structurally identical, 1 with\n"
+      "a report naming the first divergent event otherwise.\n"
+      "Lines starting with '#' and blank lines are ignored.\n");
+  flags.operands("diff <lhs.jsonl> <rhs.jsonl>", &files)
+      .integer("--context", "N", &context, 0);
+  if (argc < 2) return flags.fail("");
+  const std::string cmd = argv[1];
+  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    flags.print_usage(std::cout);
     return 0;
   }
-  const std::string cmd = args[0];
-  args.erase(args.begin());
   try {
-    if (cmd == "diff") return run_diff(args);
-    if (cmd == "summary") return run_summary(args);
+    if (cmd == "diff") {
+      if (const auto rc = flags.parse(argc - 1, argv + 1)) return *rc;
+      if (files.size() != 2) {
+        return flags.fail("diff needs two trace files");
+      }
+      const auto lhs = saf::trace::read_trace_file(files[0]);
+      const auto rhs = saf::trace::read_trace_file(files[1]);
+      const saf::trace::TraceDiff d =
+          saf::trace::diff_traces(lhs, rhs, context);
+      if (d.identical) {
+        std::cout << d.reason << "\n";
+        return 0;
+      }
+      std::cout << d.report;
+      return 1;
+    }
+    if (cmd == "summary") {
+      if (argc != 3 || (argv[2][0] == '-' && argv[2][1] != '\0')) {
+        return flags.fail("summary needs exactly one trace file");
+      }
+      std::cout << saf::trace::summarize_trace(
+          saf::trace::read_trace_file(argv[2]));
+      return 0;
+    }
   } catch (const std::exception& e) {
     std::cerr << "trace_tool: " << e.what() << "\n";
     return 2;
   }
-  std::cerr << "trace_tool: unknown command '" << cmd << "'\n";
-  return usage(std::cerr);
+  return flags.fail("unknown command '" + cmd + "'");
 }

@@ -1,10 +1,16 @@
 // Tests for the utility layer: ProcSet, RNG, combinatorics, scan rings,
-// step traces, and summary statistics.
+// step traces, summary statistics and the command-line flag table.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/combinatorics.h"
+#include "util/flags.h"
 #include "util/ring.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -192,6 +198,230 @@ TEST(Summary, DescriptiveStatistics) {
   EXPECT_GT(s.stddev(), 1.0);
   EXPECT_EQ(s.count(), 4u);
   EXPECT_FALSE(s.to_string().empty());
+}
+
+// --- command-line flags ---------------------------------------------------
+
+TEST(Flags, ParseIntIsStrictDecimal) {
+  int v = 7;
+  for (const char* bad : {"10x", "", "-1", " 5", "+5", "0x10", "1e3"}) {
+    EXPECT_FALSE(util::parse_int(bad, 0, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7) << "a refused value leaves the field untouched";
+  EXPECT_TRUE(util::parse_int("0", 0, &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(util::parse_int("-5", -10, &v));
+  EXPECT_EQ(v, -5);
+}
+
+TEST(Flags, ParseIntIsBoundedByTheFieldType) {
+  std::uint16_t port = 0;
+  EXPECT_FALSE(util::parse_int("70000", std::uint16_t{1024}, &port));
+  EXPECT_FALSE(util::parse_int("1023", std::uint16_t{1024}, &port));
+  EXPECT_TRUE(util::parse_int("65535", std::uint16_t{1024}, &port));
+  EXPECT_EQ(port, 65535);
+
+  int n = 0;
+  EXPECT_FALSE(util::parse_int("4294967298", 2, &n));
+  EXPECT_FALSE(util::parse_int("2147483648", 2, &n));
+  EXPECT_TRUE(util::parse_int("2147483647", 2, &n));
+
+  std::int64_t big = 0;
+  EXPECT_TRUE(util::parse_int("9223372036854775807", std::int64_t{0}, &big));
+  EXPECT_EQ(big, INT64_MAX);
+  EXPECT_FALSE(util::parse_int("9223372036854775808", std::int64_t{0}, &big));
+
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(
+      util::parse_int("18446744073709551615", std::uint64_t{0}, &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+  EXPECT_FALSE(util::parse_int("-1", std::uint64_t{0}, &seed));
+}
+
+TEST(Flags, SplitListKeepsEmptyItems) {
+  EXPECT_EQ(util::split_list("a,,b"),
+            (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(util::split_list(""), (std::vector<std::string>{""}));
+  EXPECT_EQ(util::split_list("x,"), (std::vector<std::string>{"x", ""}));
+}
+
+/// One parse of `args` (argv[0] supplied), with both streams captured.
+struct Parsed {
+  std::optional<int> rc;
+  std::string out;
+  std::string err;
+};
+
+Parsed parse(const util::Flags& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  std::ostringstream out;
+  std::ostringstream err;
+  Parsed p;
+  p.rc = flags.parse(static_cast<int>(args.size()), args.data(), out, err);
+  p.out = out.str();
+  p.err = err.str();
+  return p;
+}
+
+struct Fields {
+  int n = 5;
+  std::uint16_t port = 47400;
+  std::string out;
+  bool trace = false;
+  double tolerance = 0.25;
+  std::string mode = "menu";
+  std::vector<std::string> protocols;
+  std::vector<int> kills = {0};
+};
+
+util::Flags table(Fields* f) {
+  util::Flags flags("tool", "notes after the synopsis\n");
+  flags.integer("--n", "N", &f->n, 2)
+      .integer("--base-port", "P", &f->port, 1024)
+      .text("--out", "FILE", &f->out)
+      .toggle("--trace", &f->trace)
+      .real("--tolerance", "F", &f->tolerance, 0)
+      .choice("--mode", {"menu", "race"}, &f->mode)
+      .names("--protocol", "a,b,...", &f->protocols)
+      .integers("--kills", "K1,K2,...", &f->kills, 0);
+  return flags;
+}
+
+TEST(Flags, EveryKindSetsItsField) {
+  Fields f;
+  const Parsed p = parse(table(&f), {"--n", "7", "--base-port", "65535",
+                                     "--out", "x.json", "--trace",
+                                     "--tolerance", "0.5", "--mode", "race",
+                                     "--protocol", "kset,,phibar",
+                                     "--kills", "0,2,5"});
+  EXPECT_FALSE(p.rc.has_value()) << p.err;
+  EXPECT_EQ(f.n, 7);
+  EXPECT_EQ(f.port, 65535);
+  EXPECT_EQ(f.out, "x.json");
+  EXPECT_TRUE(f.trace);
+  EXPECT_DOUBLE_EQ(f.tolerance, 0.5);
+  EXPECT_EQ(f.mode, "race");
+  EXPECT_EQ(f.protocols, (std::vector<std::string>{"kset", "phibar"}));
+  EXPECT_EQ(f.kills, (std::vector<int>{0, 2, 5}));
+  EXPECT_TRUE(p.out.empty());
+  EXPECT_TRUE(p.err.empty());
+}
+
+TEST(Flags, NoArgumentsKeepsTheDefaults) {
+  Fields f;
+  EXPECT_FALSE(parse(table(&f), {}).rc.has_value());
+  EXPECT_EQ(f.n, 5);
+  EXPECT_EQ(f.port, 47400);
+  EXPECT_EQ(f.kills, (std::vector<int>{0}));
+}
+
+TEST(Flags, OutOfRangeExitsTwoWithUsageBeforeHelp) {
+  Fields f;
+  const Parsed p = parse(table(&f), {"--base-port", "70000", "--help"});
+  EXPECT_EQ(p.rc, 2);
+  EXPECT_EQ(f.port, 47400);
+  EXPECT_NE(p.err.find("tool: --base-port expects an integer in "
+                       "[1024, 65535], got '70000'"),
+            std::string::npos)
+      << p.err;
+  EXPECT_NE(p.err.find("usage: tool"), std::string::npos);
+  EXPECT_TRUE(p.out.empty()) << "help must not run after an error";
+
+  EXPECT_EQ(parse(table(&f), {"--n", "4294967298"}).rc, 2);
+  EXPECT_EQ(f.n, 5);
+  EXPECT_EQ(parse(table(&f), {"--tolerance", "-0.1"}).rc, 2);
+  EXPECT_EQ(parse(table(&f), {"--tolerance", "nan"}).rc, 2);
+  EXPECT_EQ(parse(table(&f), {"--tolerance", "0.5x"}).rc, 2);
+}
+
+TEST(Flags, MissingValueAndUnknownFlagExitTwoWithUsage) {
+  Fields f;
+  Parsed p = parse(table(&f), {"--n"});
+  EXPECT_EQ(p.rc, 2);
+  EXPECT_EQ(p.err.rfind("tool: --n needs a value\nusage: tool ", 0), 0u)
+      << p.err;
+
+  p = parse(table(&f), {"--definitely-not-a-flag"});
+  EXPECT_EQ(p.rc, 2);
+  EXPECT_EQ(p.err.rfind("tool: unknown flag --definitely-not-a-flag\n", 0),
+            0u)
+      << p.err;
+  EXPECT_NE(p.err.find("usage: tool"), std::string::npos);
+
+  p = parse(table(&f), {"stray"});
+  EXPECT_EQ(p.rc, 2) << "operands are refused unless the table takes them";
+}
+
+TEST(Flags, HelpPrintsUsageOnStdoutAndExitsZero) {
+  for (const char* help : {"-h", "--help"}) {
+    Fields f;
+    const Parsed p = parse(table(&f), {"--n", "3", help, "--bogus"});
+    EXPECT_EQ(p.rc, 0) << help;
+    EXPECT_EQ(p.out.rfind("usage: tool ", 0), 0u) << p.out;
+    EXPECT_TRUE(p.err.empty()) << p.err;
+  }
+}
+
+TEST(Flags, BadChoiceExitsTwo) {
+  Fields f;
+  const Parsed p = parse(table(&f), {"--mode", "banana"});
+  EXPECT_EQ(p.rc, 2);
+  EXPECT_EQ(f.mode, "menu");
+  EXPECT_NE(p.err.find("tool: --mode expects menu|race, got 'banana'"),
+            std::string::npos)
+      << p.err;
+}
+
+TEST(Flags, IntegerListRefusesEmptyAndNonIntegerItems) {
+  for (const char* bad : {"1,,2", "1,", "", "1,x", "1,-1", "2,3x"}) {
+    Fields f;
+    EXPECT_EQ(parse(table(&f), {"--kills", bad}).rc, 2) << "'" << bad << "'";
+    EXPECT_EQ(f.kills, (std::vector<int>{0})) << "'" << bad << "'";
+  }
+}
+
+TEST(Flags, RequiredFlagsAndOperands) {
+  int id = 0;
+  int context = 3;
+  std::vector<std::string> files;
+  util::Flags flags("tool");
+  flags.operands("<a> <b>", &files)
+      .integer("--id", "I", &id, 0)
+      .required()
+      .integer("--context", "N", &context, 0);
+
+  Parsed p = parse(flags, {"a.jsonl"});
+  EXPECT_EQ(p.rc, 2);
+  EXPECT_NE(p.err.find("tool: --id is required"), std::string::npos) << p.err;
+
+  files.clear();
+  p = parse(flags, {"a.jsonl", "--id", "4", "b.jsonl", "--context", "0"});
+  EXPECT_FALSE(p.rc.has_value()) << p.err;
+  EXPECT_EQ(id, 4);
+  EXPECT_EQ(context, 0);
+  EXPECT_EQ(files, (std::vector<std::string>{"a.jsonl", "b.jsonl"}));
+  EXPECT_EQ(parse(flags, {"--id", "1", "-x"}).rc, 2);
+}
+
+TEST(Flags, SynopsisNamesEachFlagOnceWithinTheWidth) {
+  Fields f;
+  std::ostringstream os;
+  table(&f).print_usage(os);
+  const std::string usage = os.str();
+  EXPECT_EQ(usage.rfind("usage: tool [--n N] [--base-port P]", 0), 0u)
+      << usage;
+  for (const char* item :
+       {"[--n N]", "[--trace]", "[--mode menu|race]", "[--kills K1,K2,...]",
+        "[--help]"}) {
+    const std::size_t at = usage.find(item);
+    EXPECT_NE(at, std::string::npos) << item;
+    EXPECT_EQ(usage.find(item, at + 1), std::string::npos) << item;
+  }
+  std::istringstream lines(usage);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_LE(line.size(), 78u) << line;
+  }
+  EXPECT_EQ(usage.substr(usage.size() - 25), "notes after the synopsis\n");
 }
 
 }  // namespace
